@@ -3,6 +3,7 @@
 // switch-level transient integrator, and the gate-level controller.
 #include <benchmark/benchmark.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -122,6 +123,21 @@ void BM_SweepPoint512_CycleAccurate(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel("512x512 March C- PRR points/s (cycle-accurate)");
+  // execute_run paths of one point (both modes), outside the timed loop:
+  // the point's speed rests on its runs taking the whole-row path.
+  std::uint64_t whole_row = 0;
+  std::uint64_t loop_runs = 0;
+  for (const sram::Mode mode : {sram::Mode::kFunctional,
+                                sram::Mode::kLowPowerTest}) {
+    core::SessionConfig mode_cfg = cfg;
+    mode_cfg.mode = mode;
+    core::TestSession session(mode_cfg);
+    session.run(test);
+    whole_row += session.array().run_path_counts().whole_row;
+    loop_runs += session.array().run_path_counts().loop_runs();
+  }
+  state.counters["whole_row_runs"] = static_cast<double>(whole_row);
+  state.counters["loop_runs"] = static_cast<double>(loop_runs);
 }
 BENCHMARK(BM_SweepPoint512_CycleAccurate)->Unit(benchmark::kMillisecond);
 
@@ -590,6 +606,33 @@ void BM_ControllerEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerEvaluate);
 
+/// CPU model from /proc/cpuinfo ("unknown" elsewhere).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(' '));
+    return model;
+  }
+  return "unknown";
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus a host fingerprint in the JSON context: the library
+// records num_cpus itself; cpu_model and simd_level complete what
+// ci/compare_bench.py compares against the baseline's host block.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("cpu_model", cpu_model());
+  benchmark::AddCustomContext(
+      "simd_level", sram::simd::level_name(sram::simd::active_level()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

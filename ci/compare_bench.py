@@ -3,8 +3,10 @@
 
 Usage: compare_bench.py CURRENT.json [BASELINE.json]
 
-Prints one line per benchmark with the slowdown ratio and emits a GitHub
-Actions ::warning:: annotation for anything past the regression threshold.
+Prints the host fingerprint (CPU model, num_cpus, active SIMD level) of both
+files, with a GitHub Actions ::notice:: when they differ, then one line per
+benchmark with the slowdown ratio, and emits a ::warning:: annotation for
+anything past the regression threshold.
 Shared CI runners are far too noisy to gate a build on timings, so the
 script NEVER fails the job: it always exits 0 unless the inputs are
 unreadable (a crash upstream should already have failed the run step).
@@ -17,11 +19,28 @@ THRESHOLD = 1.5  # warn past a 1.5x slowdown vs the baseline
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
+# bench_perf adds cpu_model and simd_level to the JSON context; the library
+# records num_cpus.  The baseline keeps the same keys in its "host" block.
+HOST_KEYS = ("cpu_model", "num_cpus", "simd_level")
 
-def load_times(path):
-    """name -> real_time in ns (aggregate entries like _mean are skipped)."""
+
+def load(path):
     with open(path) as f:
-        data = json.load(f)
+        return json.load(f)
+
+
+def host_of(data):
+    """Host fingerprint: a baseline's "host" block, else a run's context."""
+    block = data.get("host") or data.get("context") or {}
+    return {key: str(block.get(key, "unknown")) for key in HOST_KEYS}
+
+
+def describe(host):
+    return ", ".join(f"{key}={host[key]}" for key in HOST_KEYS)
+
+
+def load_times(data):
+    """name -> real_time in ns (aggregate entries like _mean are skipped)."""
     times = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -35,8 +54,18 @@ def main(argv):
     if len(argv) < 2:
         print(f"usage: {argv[0]} CURRENT.json [BASELINE.json]")
         return 2
-    current = load_times(argv[1])
-    baseline = load_times(argv[2] if len(argv) > 2 else "ci/bench_baseline.json")
+    current_data = load(argv[1])
+    baseline_data = load(argv[2] if len(argv) > 2 else "ci/bench_baseline.json")
+    current_host = host_of(current_data)
+    baseline_host = host_of(baseline_data)
+    print(f"current host:  {describe(current_host)}")
+    print(f"baseline host: {describe(baseline_host)}")
+    if current_host != baseline_host:
+        print("::notice title=different bench host::the baseline was "
+              "recorded on another host; the ratios below mix host and code "
+              "differences")
+    current = load_times(current_data)
+    baseline = load_times(baseline_data)
 
     regressions = []
     for name, base_ns in sorted(baseline.items()):

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "power/energy_source.h"
+#include "power/repeat_add.h"
 #include "util/error.h"
 
 namespace sramlp::power {
@@ -122,21 +123,24 @@ class EnergyMeter {
 
   /// Attribute @p joules to @p source, @p count times.
   ///
-  /// The accumulation is performed as @p count successive additions — NOT
-  /// as a single `joules * count` fused product.  IEEE-754 addition is not
-  /// distributive: 0.1 added ten times is 0.9999999999999999, 10 * 0.1 is
-  /// 1.0.  The bitsliced SramArray engine meters whole decay cohorts with
-  /// one bulk add where the per-column reference engine performs one add
-  /// per column; the repeated-addition identity is what keeps the two
-  /// engines' totals bit-identical (the parity contract of
-  /// test_bitsliced_parity.cpp, pinned directly by
-  /// test_power.cpp:BulkAddBitIdenticalToScalarAdds).  Do not "optimise"
-  /// this into a multiplication.
+  /// The result is that of @p count successive additions, NOT of a single
+  /// `joules * count` product.  IEEE-754 addition is not distributive: 0.1
+  /// added ten times is 0.9999999999999999, 10 * 0.1 is 1.0.  The bitsliced
+  /// SramArray engine meters whole decay cohorts with one bulk add where the
+  /// per-column reference engine performs one add per column; the
+  /// repeated-addition identity is what keeps the two engines' totals
+  /// bit-identical (the parity contract of test_bitsliced_parity.cpp, pinned
+  /// directly by test_power.cpp:BulkAddBitIdenticalToScalarAdds).
+  /// power::repeat_add reaches that result without performing every
+  /// addition: inside one binade of the total each addition of @p joules
+  /// moves it by the same whole number of ulps, so the additions up to the
+  /// binade's top collapse into one exact step, and only ties and the
+  /// additions crossing a binade boundary run one by one.
   void add(EnergySource source, double joules, std::uint64_t count) {
     SRAMLP_REQUIRE(source != EnergySource::kCount, "not a real source");
     SRAMLP_REQUIRE(joules >= 0.0, "energy contributions must be non-negative");
     double& total = totals_[static_cast<std::size_t>(source)];
-    for (std::uint64_t i = 0; i < count; ++i) total += joules;
+    total = repeat_add(total, joules, count);
     if (sink_ != nullptr) sink_->on_add(source, joules, count, cycles_);
   }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "power/repeat_add.h"
 #include "sram/bits.h"
 #include "util/error.h"
 
@@ -12,16 +13,7 @@ namespace sramlp::sram {
 
 using power::EnergySource;
 
-namespace {
-
-/// Accumulate @p value into @p acc @p count times.  Like
-/// EnergyMeter::add(source, joules, count), the loop keeps the
-/// floating-point result bit-identical to per-column accumulation.
-inline void accumulate(double& acc, double value, std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) acc += value;
-}
-
-}  // namespace
+using power::repeat_add;
 
 double ArrayStats::alpha_post_op() const {
   if (cycles == 0) return 0.0;
@@ -572,23 +564,19 @@ SramArray::CohortEval SramArray::eval_cohort(const Cohort& cohort) const {
   return eval_elapsed(elapsed);
 }
 
-SramArray::CohortEval SramArray::eval_elapsed(std::uint64_t elapsed) const {
+SramArray::CohortEval SramArray::eval_elapsed_slow(
+    std::uint64_t elapsed) const {
   constexpr std::uint64_t kTableCap = 4096;  // matches the decay-memo cap
-  CohortEval e;
-  if (elapsed >= kTableCap) {
-    // Past the memo horizon: evaluate the closed form directly (the batch
-    // kernel with n = 1 is the scalar expression tree).
-    const double factor = decay_factor(elapsed);
-    simd::cohort_eval_batch(&factor, 1, eval_k_, &e.v_low, &e.stress_j,
-                            &e.dv, &e.equiv, &e.recharge_e);
-    return e;
+  if (elapsed < kTableCap) {
+    grow_eval_table(elapsed);
+    return eval_elapsed(elapsed);
   }
-  if (elapsed >= eval_table_.size()) grow_eval_table(elapsed);
-  e.v_low = eval_table_.v_low[elapsed];
-  e.stress_j = eval_table_.stress_j[elapsed];
-  e.dv = eval_table_.dv[elapsed];
-  e.equiv = eval_table_.equiv[elapsed];
-  e.recharge_e = eval_table_.recharge_e[elapsed];
+  // Past the memo horizon: evaluate the closed form directly (the batch
+  // kernel with n = 1 is the scalar expression tree).
+  CohortEval e;
+  const double factor = decay_factor(elapsed);
+  simd::cohort_eval_batch(&factor, 1, eval_k_, &e.v_low, &e.stress_j, &e.dv,
+                          &e.equiv, &e.recharge_e);
   return e;
 }
 
@@ -615,9 +603,9 @@ void SramArray::cohort_settle_bulk(const CohortEval& eval, bool pre_op,
                                    std::uint64_t count) {
   if (eval.stress_j > 0.0)
     meter_.add(EnergySource::kBitlineDecayStress, eval.stress_j, count);
-  accumulate(pre_op ? stats_.decay_stress_equiv_pre_op
-                    : stats_.decay_stress_equiv_post_op,
-             eval.equiv, count);
+  double& equiv = pre_op ? stats_.decay_stress_equiv_pre_op
+                         : stats_.decay_stress_equiv_post_op;
+  equiv = repeat_add(equiv, eval.equiv, count);
 }
 
 void SramArray::cohort_recharge_bulk(const CohortEval& eval,
@@ -1073,9 +1061,12 @@ RunResult SramArray::execute_run(const RunCommand& run) {
   // executor's documented contract, pinned by test_bitsliced_parity.cpp).
   // A sink that needs the raw event stream (waveform writers) forces the
   // per-cycle path — every event delivered.
-  const bool bulk_ok =
-      !meter_.has_sink() || meter_.sink()->bulk_fold_supported();
-  return fast_ && bulk_ok ? fast_run(run) : run_per_cycle(run);
+  if (!fast_) return run_per_cycle(run);
+  if (meter_.has_sink() && !meter_.sink()->bulk_fold_supported()) {
+    ++run_paths_.traced;
+    return run_per_cycle(run);
+  }
+  return fast_run(run);
 }
 
 RunResult SramArray::run_per_cycle(const RunCommand& run) {
@@ -1142,6 +1133,39 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   // its hooks are no-ops there — see CellFaultModel::relevant_rows).
   const bool hooked =
       faults_ != nullptr && (all_rows_hooked_ || hooked_rows_[run.row]);
+
+  const std::size_t groups = g.col_groups();
+  const bool ascending = run.scan == Scan::kAscending;
+  // Virtual-cohort mode: a clean whole-row LP sweep entered this call with
+  // no materialized columns has a fully predictable decay structure —
+  // every selected column stays exempt, the follower is always the row's
+  // pre-op cohort on its first recharge and pre-charged afterwards, and
+  // each group's post-op decay start is an arithmetic function of its
+  // position.  The loop then touches no cohort state at all; the row's
+  // cohorts are written out once at the end (or consumed by the restore).
+  const std::uint64_t row_entry_cycle = cycle_;
+  const bool virt = lp && entered && !have_mat && cohorts_.size() == 1 &&
+                    cohorts_[0].start == cycle_ && cohorts_[0].pre_op &&
+                    run.group_count == groups &&
+                    (run.descending ? run.first_group + 1 == groups
+                                    : run.first_group == 0) &&
+                    (run.descending != ascending);
+
+  // Path choice (see the file comment): the whole-row path when the run
+  // qualifies and its reads all match, else the per-address loop below.
+  if constexpr (kTraced) {
+    ++run_paths_.traced;
+  } else if (faults_ != nullptr) {
+    ++run_paths_.faults;
+  } else if (have_mat || (lp && !virt)) {
+    ++run_paths_.partial;
+  } else if (whole_row_run(run)) {
+    ++run_paths_.whole_row;
+    end_run(run, virt);
+    return rr;
+  } else {
+    ++run_paths_.mismatch;
+  }
 
   // Meter accumulators and the hot statistics live in locals for the whole
   // run: each cycle performs exactly the additions the per-cycle path
@@ -1238,22 +1262,6 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   };
   load();
 
-  const std::size_t groups = g.col_groups();
-  const bool ascending = run.scan == Scan::kAscending;
-  // Virtual-cohort mode: a clean whole-row LP sweep entered this call with
-  // no materialized columns has a fully predictable decay structure —
-  // every selected column stays exempt, the follower is always the row's
-  // pre-op cohort on its first recharge and pre-charged afterwards, and
-  // each group's post-op decay start is an arithmetic function of its
-  // position.  The loop then touches no cohort state at all; the row's
-  // cohorts are written out once at the end (or consumed by the restore).
-  const std::uint64_t row_entry_cycle = cycle_;
-  const bool virt = lp && entered && !have_mat && cohorts_.size() == 1 &&
-                    cohorts_[0].start == cycle_ && cohorts_[0].pre_op &&
-                    run.group_count == groups &&
-                    (run.descending ? run.first_group + 1 == groups
-                                    : run.first_group == 0) &&
-                    (run.descending != ascending);
   // Per-address operation counts and the run-edge bookkeeping are
   // loop-invariant: accumulate them per address / per run, not per cycle.
   std::uint64_t reads_per_addr = 0;
@@ -1497,8 +1505,6 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
           }
           acc(EnergySource::kLpTestDriver, e_.lptest_driver);
           ++stats_.restore_cycles;
-          std::fill(cohort_of_.begin(), cohort_of_.end(), kColPrecharged);
-          cohorts_.clear();
         } else {
           store();
           fast_restore_cycle(run.row, first_col);
@@ -1602,10 +1608,176 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
     group = run.descending ? group - 1 : group + 1;
   }
   store();
-  if (virt && !run.restore_last) {
+  end_run(run, virt);
+  return rr;
+}
+
+bool SramArray::whole_row_run(const RunCommand& run) {
+  const Geometry& g = config_.geometry;
+  const std::size_t w = g.word_width;
+  const std::size_t addrs = run.group_count;
+  const bool lp = config_.mode == Mode::kLowPowerTest;
+  constexpr auto I = [](EnergySource s) constexpr {
+    return static_cast<std::size_t>(s);
+  };
+
+  // --- data path, the whole row word-parallel ------------------------------
+  // Each address's operations touch only its own group's cells, so checking
+  // every read against the whole row and applying the element's last write
+  // once leaves the cells exactly as the per-address loop would — provided
+  // no read mismatches.  Reads before the element's first write see the row
+  // as it is; reads after a write see that write's data, so they compare
+  // logical values.  A mismatch returns before any cell or meter changes.
+  const std::size_t first_col =
+      (run.descending ? run.first_group + 1 - addrs : run.first_group) * w;
+  const std::size_t span = addrs * w;
+  const std::uint64_t bg = run.background.bits(
+      run.row, first_col, std::min<std::size_t>(64, span));
+  const auto pattern = [bg](bool value) {
+    return (value ? ~std::uint64_t{0} : std::uint64_t{0}) ^ bg;
+  };
+  std::optional<bool> written;
+  std::uint64_t reads_per_addr = 0;
+  for (std::size_t o = 0; o < run.op_count; ++o) {
+    const RunOp op = run.ops[o];
+    if (!op.is_read) {
+      written = op.value;
+      continue;
+    }
+    ++reads_per_addr;
+    if (written ? *written != op.value
+                : !cells_.row_matches_pattern(run.row, first_col, span,
+                                              pattern(op.value)))
+      return false;
+  }
+  if (written)
+    cells_.fill_row_pattern(run.row, first_col, span, pattern(*written));
+
+  // --- meter ------------------------------------------------------------------
+  // Every address adds the same constants to each accumulator, except the
+  // first (the control element switches only on a group advance) and the
+  // last (no follower; the restore).  One address's additions to a source
+  // form a period that repeat_add applies to all the middle addresses at
+  // once; the accumulators are independent chains, so source by source is
+  // the per-address loop's order.
+  auto& totals = meter_.raw_totals();
+  const bool first_group_advance =
+      !last_col_group_ || *last_col_group_ != run.first_group;
+  const auto add_addresses = [&](std::size_t k, std::uint64_t times) {
+    for (auto& seq : period_) seq.clear();
+    const auto put = [&](EnergySource s, double e, std::size_t count) {
+      auto& seq = period_[I(s)];
+      seq.insert(seq.end(), count, e);
+    };
+    const bool last = k + 1 == addrs;
+    for (std::size_t o = 0; o < run.op_count; ++o) {
+      put(EnergySource::kWordline, e_.wordline, 1);
+      put(EnergySource::kDecoder, e_.decoder, 1);
+      put(EnergySource::kAddressBus, e_.address_bus, 1);
+      put(EnergySource::kClockTree, e_.clock_tree, 1);
+      put(EnergySource::kMemoryControl, e_.control_base, 1);
+      if (run.ops[o].is_read) {
+        put(EnergySource::kSenseAmp, e_.sense_amp, w);
+        put(EnergySource::kDataIo, e_.data_io, w);
+        put(EnergySource::kPrechargeRestoreRead, e_.read_restore, w);
+        put(EnergySource::kCellRes, e_.cell_res, w);
+      } else {
+        put(EnergySource::kWriteDriver, e_.write_driver, w);
+        put(EnergySource::kDataIo, e_.data_io, w);
+        put(EnergySource::kPrechargeRestoreWrite, e_.write_restore, w);
+      }
+      if (!lp) {
+        put(EnergySource::kPrechargeResFight, e_.others_res_fight, 1);
+        put(EnergySource::kCellRes, e_.others_cell_res, 1);
+      } else if (last && run.restore_last && o + 1 == run.op_count) {
+        put(EnergySource::kPrechargeResFight, e_.res_fight, (addrs - 1) * w);
+        put(EnergySource::kCellRes, e_.cell_res, (addrs - 1) * w);
+        put(EnergySource::kLpTestDriver, e_.lptest_driver, 1);
+      } else {
+        if (!last) {
+          put(EnergySource::kPrechargeResFight, e_.res_fight, w);
+          put(EnergySource::kCellRes, e_.cell_res, w);
+        }
+        if (o == 0 && (k != 0 || first_group_advance))
+          put(EnergySource::kControlLogic, e_.control_element_group, 1);
+      }
+    }
+    for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
+      if (!period_[i].empty())
+        totals[i] = repeat_add(totals[i], period_[i].data(),
+                               period_[i].size(), times);
+  };
+  add_addresses(0, 1);
+  if (addrs > 2) add_addresses(1, addrs - 2);
+  if (addrs > 1) add_addresses(addrs - 1, 1);
+
+  const std::uint64_t cycles = addrs * run.op_count;
+  if (lp) {
+    // The decay terms differ per address: one serial pass each, folded into
+    // local copies of the chains they feed (kept in registers, not reloaded
+    // through the meter on every address).
+    double stress = totals[I(EnergySource::kBitlineDecayStress)];
+    double equiv = stats_.decay_stress_equiv_pre_op;
+    double recharge = totals[I(EnergySource::kPrechargeNextColumn)];
+    const auto fold = [&](const CohortEval& ev) {
+      if (ev.stress_j > 0.0) stress = repeat_add(stress, ev.stress_j, w);
+      equiv = repeat_add(equiv, ev.equiv, w);
+      if (ev.dv > 0.0) recharge = repeat_add(recharge, ev.recharge_e, w);
+    };
+    // Address k recharges its follower out of the row's pre-op cohort
+    // k * op_count cycles after the row entry (this run's first cycle) ...
+    for (std::size_t k = 0; k + 1 < addrs; ++k)
+      fold(eval_elapsed(k * run.op_count));
+    stats_.decay_stress_equiv_pre_op = equiv;
+    totals[I(EnergySource::kPrechargeNextColumn)] = recharge;
+    // ... and the restore, on the run's last cycle, recharges every other
+    // group, in column order, out of the post-op cohort that began decaying
+    // the cycle after the group's last operation.
+    if (run.restore_last) {
+      const std::uint64_t restore_cycle = cycle_ + cycles - 1;
+      const std::size_t last_group = run.descending ? 0 : addrs - 1;
+      equiv = stats_.decay_stress_equiv_post_op;
+      recharge = totals[I(EnergySource::kRowTransitionRestore)];
+      for (std::size_t gi = 0; gi < addrs; ++gi) {
+        if (gi == last_group) continue;
+        const std::size_t scan_index =
+            run.descending ? run.first_group - gi : gi;
+        const std::uint64_t start = cycle_ + run.op_count * (scan_index + 1);
+        fold(eval_elapsed(start >= restore_cycle ? 0 : restore_cycle - start));
+      }
+      stats_.decay_stress_equiv_post_op = equiv;
+      totals[I(EnergySource::kRowTransitionRestore)] = recharge;
+      ++stats_.restore_cycles;
+    }
+    totals[I(EnergySource::kBitlineDecayStress)] = stress;
+    stats_.full_res_column_cycles +=
+        (addrs - 1) * w * (run.op_count + (run.restore_last ? 1 : 0));
+  } else {
+    stats_.full_res_column_cycles += cycles * (g.cols - w);
+  }
+  stats_.reads += reads_per_addr * addrs;
+  stats_.writes += (run.op_count - reads_per_addr) * addrs;
+  stats_.cycles += cycles;
+  meter_.tick_cycles(cycles);
+  cycle_ += cycles;
+  return true;
+}
+
+void SramArray::end_run(const RunCommand& run, bool virt) {
+  const std::size_t w = config_.geometry.word_width;
+  const std::size_t groups = config_.geometry.col_groups();
+  const bool lp = config_.mode == Mode::kLowPowerTest;
+  const bool ascending = run.scan == Scan::kAscending;
+  if (virt && run.restore_last) {
+    // The restore left every column pre-charged.
+    std::fill(cohort_of_.begin(), cohort_of_.end(), kColPrecharged);
+    cohorts_.clear();
+  } else if (virt) {
     // Materialize the row's deferred cohort structure: one post-op cohort
     // per group, decay start arithmetic in the scan position — the exact
     // state the per-cycle path would have accumulated.
+    const std::uint64_t row_entry_cycle =
+        cycle_ - run.group_count * run.op_count;
     cohorts_.clear();
     for (std::size_t gi = 0; gi < groups; ++gi) {
       const std::size_t scan_index =
@@ -1617,7 +1789,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       for (std::size_t b = 0; b < w; ++b) cohort_of_[gi * w + b] = id;
     }
   }
-  // Run-edge bookkeeping: nothing inside the loop reads these, so the
+  // Run-edge bookkeeping: nothing inside a run reads these, so the
   // per-cycle stores collapse to the final values.
   const std::size_t last_group =
       run.descending ? run.first_group - (run.group_count - 1)
@@ -1640,7 +1812,6 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       snap_.follower_first = (last_group - 1) * w;
     }
   }
-  return rr;
 }
 
 double SramArray::bitline_low_side_voltage(std::size_t col) const {

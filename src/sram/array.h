@@ -42,17 +42,38 @@
 //   * ColumnModel::kPerColumnReference — the original per-column engine,
 //     kept as the executable specification.  The cohort path is required
 //     (and regression-tested) to produce bit-identical supply energy,
-//     ArrayStats and detections; EnergyMeter::add(source, joules, count)
-//     performs bulk accumulation as repeated additions precisely so the
-//     cohort path's per-source floating-point sums match the reference
-//     path's addition-by-addition.
+//     ArrayStats and detections; every bulk accumulation has the result of
+//     the repeated additions the reference performs one column at a time
+//     (power::repeat_add), so per-source floating-point sums match the
+//     reference path's addition-by-addition.
+//
+// Whole-row runs (execute_run) take one of two bitsliced paths:
+//
+//   * the whole-row path, for an untraced run with no fault model attached
+//     and no materialized column — in low-power mode additionally a clean
+//     whole row entered by this run, whose decay structure is then fixed by
+//     the scan.  Every read of the run is checked against the whole row at
+//     once (row_matches_pattern; a read after a write in the same element
+//     compares logical values) and only the element's last write is
+//     applied (fill_row_pattern).  Each meter accumulator receives the same
+//     constants at every address but the first and the last, so
+//     power::repeat_add skips those periods ahead bit-exactly; the
+//     low-power follower-recharge and restore decay terms differ per
+//     address and run as one serial pass over the cohort evaluation table.
+//     A run costs O(row / 64 + sources x binades crossed) in functional
+//     mode, plus O(row) for those decay terms in low-power mode.
+//   * the per-address loop, otherwise: traced runs (a meter sink is
+//     attached), runs with a fault model, partial rows or rows with
+//     materialized columns, and runs whose check finds a mismatch — the
+//     check returns before anything has changed.  run_path_counts() tells
+//     how many runs took each path.
 //
 // Bit-line voltages are tracked lazily (closed-form exponential decay from
 // the last capture point, memoized per integer cycle count), so a cycle
-// costs O(word_width) amortised work and full 512x512 March runs complete
-// in milliseconds.
+// outside whole-row runs costs O(word_width) amortised work.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -115,6 +136,22 @@ struct ArrayStats {
   double alpha_total() const;
 };
 
+/// How the bitsliced engine executed its execute_run calls: the whole-row
+/// path, or the per-address loop and why (see file comment).  Execution
+/// diagnostics only — the results are identical either way — so they stay
+/// out of ArrayStats, which result documents serialize.
+struct RunPathCounts {
+  std::uint64_t whole_row = 0;
+  std::uint64_t traced = 0;    ///< loop: a meter sink is attached
+  std::uint64_t faults = 0;    ///< loop: a fault model is attached
+  std::uint64_t partial = 0;   ///< loop: partial row or materialized columns
+  std::uint64_t mismatch = 0;  ///< loop: the whole-row check found one
+
+  std::uint64_t loop_runs() const {
+    return traced + faults + partial + mismatch;
+  }
+};
+
 /// The simulated memory.
 class SramArray {
  public:
@@ -167,6 +204,9 @@ class SramArray {
   const power::EnergyMeter& meter() const { return meter_; }
   power::EnergyMeter& meter() { return meter_; }
   const ArrayStats& stats() const { return stats_; }
+  /// execute_run paths taken since construction (reset_measurements keeps
+  /// them; the reference engine records none).
+  const RunPathCounts& run_path_counts() const { return run_paths_; }
 
   /// Average supply energy per cycle so far [J].
   double energy_per_cycle() const { return meter_.supply_per_cycle(); }
@@ -265,10 +305,26 @@ class SramArray {
   /// accumulator blocks through the identical addition sequences).
   template <bool kTraced>
   RunResult fast_run_impl(const RunCommand& run);
+  /// The whole-row path (see file comment) for an untraced, fault-free run
+  /// without materialized columns — in low-power mode a virtual-cohort run
+  /// (see fast_run_impl).  Returns false, having changed nothing, when a
+  /// read would mismatch.
+  bool whole_row_run(const RunCommand& run);
+  /// Shared end of both fast_run paths: the deferred cohort state of a
+  /// virtual-cohort run and the run-edge bookkeeping.
+  void end_run(const RunCommand& run, bool virt);
   CohortEval eval_cohort(const Cohort& cohort) const;
   /// eval_cohort keyed by elapsed decay cycles, served from the grow-only
   /// SIMD-filled table below (scalar closed form past the table cap).
-  CohortEval eval_elapsed(std::uint64_t elapsed) const;
+  CohortEval eval_elapsed(std::uint64_t elapsed) const {
+    if (elapsed >= eval_table_.size()) return eval_elapsed_slow(elapsed);
+    return {eval_table_.v_low[elapsed], eval_table_.stress_j[elapsed],
+            eval_table_.equiv[elapsed], eval_table_.dv[elapsed],
+            eval_table_.recharge_e[elapsed]};
+  }
+  /// eval_elapsed past the table's end: grows it, or past its cap
+  /// evaluates the closed form.
+  CohortEval eval_elapsed_slow(std::uint64_t elapsed) const;
   void grow_eval_table(std::uint64_t elapsed) const;
   /// Meter the settle of @p count cohort members (stress + α bookkeeping).
   void cohort_settle_bulk(const CohortEval& eval, bool pre_op,
@@ -300,6 +356,9 @@ class SramArray {
   CellArray cells_;
   power::EnergyMeter meter_;
   ArrayStats stats_;
+  RunPathCounts run_paths_;
+  /// whole_row_run scratch: one address's additions, per source.
+  std::array<std::vector<double>, power::kEnergySourceCount> period_;
   CellFaultModel* faults_ = nullptr;
   /// Sensitive cells grouped by row (from the fault model).
   std::vector<std::vector<std::size_t>> sensitive_by_row_;

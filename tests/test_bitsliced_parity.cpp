@@ -9,6 +9,7 @@
 // reset_measurements().
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "engine/cycle_accurate_backend.h"
 #include "faults/models.h"
 #include "march/algorithms.h"
+#include "march/parser.h"
 #include "power/energy_source.h"
 #include "power/trace.h"
 #include "sram/array.h"
@@ -541,6 +543,144 @@ TEST(BitslicedParity, TracedBatchedRunsMatchPerStepExecution) {
     ASSERT_TRUE(res[0].trace.has_value() && res[1].trace.has_value())
         << where;
     expect_traces_identical(*res[0].trace, *res[1].trace, where);
+  }
+}
+
+// --- whole-row path vs the reference and the per-step path -------------------
+
+struct ThreeWayOutcome {
+  sram::RunPathCounts paths;  ///< of the bitsliced batched run
+  std::uint64_t mismatches = 0;
+};
+
+/// Run @p test three ways — the per-column reference engine, the bitsliced
+/// engine's batched runs (the whole-row path wherever a run qualifies) and
+/// its per-step path (CycleAccurateBackend{batch_runs=false}) — and require
+/// all three bit-identical, cell contents included.  @p prepare runs on
+/// each fresh array before the test.
+ThreeWayOutcome expect_three_way_parity(
+    SessionConfig config, const march::MarchTest& test,
+    const std::string& where,
+    const std::function<void(SramArray&)>& prepare = nullptr) {
+  SessionResult results[3];
+  std::vector<bool> cells[3];
+  ThreeWayOutcome outcome;
+  for (int p = 0; p < 3; ++p) {
+    config.column_model = p == 0 ? ColumnModel::kPerColumnReference
+                                 : ColumnModel::kBitslicedCohort;
+    TestSession session(config);
+    if (prepare) prepare(session.array());
+    engine::CycleAccurateBackend backend(session.array(),
+                                         /*batch_runs=*/p != 2);
+    results[p] = session.run(test, backend);
+    if (p == 1) outcome.paths = session.array().run_path_counts();
+    for (std::size_t r = 0; r < config.geometry.rows; ++r)
+      for (std::size_t c = 0; c < config.geometry.cols; ++c)
+        cells[p].push_back(session.array().peek(r, c));
+  }
+  expect_results_identical(results[0], results[1], where + " batched");
+  expect_results_identical(results[0], results[2], where + " per-step");
+  EXPECT_EQ(cells[0], cells[1]) << where << " batched (cell contents)";
+  EXPECT_EQ(cells[0], cells[2]) << where << " per-step (cell contents)";
+  outcome.mismatches = results[0].mismatches;
+  return outcome;
+}
+
+TEST(BitslicedParity, WholeRowPathMatchesReferenceAndPerStep) {
+  struct Geo {
+    std::size_t rows, cols, w;
+  };
+  // 1xN and Nx2 (the narrowest legal array: a row needs two word groups),
+  // odd sizes, and every word width the path packs differently — down to
+  // rows of two and three 64-bit words.
+  const Geo geos[] = {{1, 24, 1}, {9, 2, 1},   {7, 13, 1},  {5, 14, 2},
+                      {6, 20, 4}, {3, 40, 8},  {2, 128, 64}, {3, 192, 64}};
+  sram::RunPathCounts total;
+  for (const auto& test : march::algorithms::all()) {
+    for (const Geo& geo : geos) {
+      for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
+        for (const auto kind : sram::DataBackground::kinds()) {
+          for (const bool invert : {false, true}) {
+            for (const bool restore : {true, false}) {
+              // The restore schedule only exists in low-power mode.
+              if (mode == Mode::kFunctional && !restore) continue;
+              SessionConfig cfg = grid_config(mode, geo.rows, geo.cols, geo.w);
+              cfg.background = sram::DataBackground(kind);
+              cfg.invert_background = invert;
+              cfg.row_transition_restore = restore;
+              const std::string where =
+                  test.name() + " " + std::to_string(geo.rows) + "x" +
+                  std::to_string(geo.cols) + "/w" + std::to_string(geo.w) +
+                  (mode == Mode::kFunctional ? " F " : " LP ") +
+                  cfg.background.name() + (invert ? " inverted" : "") +
+                  (restore ? "" : " no-restore");
+              const sram::RunPathCounts paths =
+                  expect_three_way_parity(cfg, test, where).paths;
+              total.whole_row += paths.whole_row;
+              total.partial += paths.partial;
+              total.mismatch += paths.mismatch;
+              total.traced += paths.traced;
+              total.faults += paths.faults;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach both the whole-row path and its partial-row
+  // fallback: single-row arrays re-enter no row, and idle windows and
+  // restore-off hand-overs leave materialized columns (which also keep the
+  // restore-off swaps away from the path).  The mismatch fallback has its
+  // own test below.
+  EXPECT_GT(total.whole_row, total.loop_runs());
+  EXPECT_GT(total.partial, 0u);
+  EXPECT_EQ(total.mismatch + total.traced + total.faults, 0u);
+}
+
+TEST(BitslicedParity, WholeRowPathFallsBackBeforeChangingAnything) {
+  for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
+    const std::string tag = mode == Mode::kFunctional ? " F" : " LP";
+    const SessionConfig cfg = grid_config(mode, 6, 12);
+    // A self-contradicting element: every read of U(w1,r0) follows its own
+    // write of the opposite value, so every run of it mismatches.
+    const ThreeWayOutcome contradicting = expect_three_way_parity(
+        cfg, march::parse_march("contradicting", "{ B(w0); U(w1,r0) }"),
+        "contradicting element" + tag);
+    EXPECT_EQ(contradicting.mismatches, 6u * 12u);
+    EXPECT_EQ(contradicting.paths.mismatch, 6u);
+    // A cell changed behind the simulator's back: the first element's read
+    // of its row mismatches there, and only there.
+    const ThreeWayOutcome poked = expect_three_way_parity(
+        cfg, march::parse_march("poked", "{ U(r0,w1); D(r1,w0); B(r0) }"),
+        "poked cell" + tag, [](SramArray& a) { a.poke(2, 5, true); });
+    EXPECT_EQ(poked.mismatches, 1u);
+    EXPECT_EQ(poked.paths.mismatch, 1u);
+  }
+}
+
+// The path must carry the paper's headline workload: Table 1 on the
+// 512x512 array, both modes, both prr_sweep backgrounds.
+TEST(BitslicedParity, Table1RunsTakeTheWholeRowPath) {
+  for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
+    for (const auto kind : {sram::BackgroundKind::kSolid0,
+                            sram::BackgroundKind::kCheckerboard}) {
+      for (const auto& test : march::algorithms::table1()) {
+        SessionConfig cfg = grid_config(mode, 512, 512);
+        cfg.background = sram::DataBackground(kind);
+        TestSession session(cfg);
+        const SessionResult result = session.run(test);
+        const sram::RunPathCounts& paths = session.array().run_path_counts();
+        const std::string where =
+            test.name() + (mode == Mode::kFunctional ? " F " : " LP ") +
+            cfg.background.name();
+        EXPECT_EQ(result.mismatches, 0u) << where;
+        EXPECT_GE(paths.whole_row * 100,
+                  (paths.whole_row + paths.loop_runs()) * 99)
+            << where << ": " << paths.whole_row << " whole-row runs, "
+            << paths.loop_runs() << " loop runs";
+        EXPECT_EQ(paths.mismatch + paths.traced + paths.faults, 0u) << where;
+      }
+    }
   }
 }
 

@@ -2,12 +2,18 @@
 // technology parameters, and the paper's §5 analytic model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "core/paper_reference.h"
 #include "power/analytic.h"
 #include "power/energy_source.h"
 #include "power/meter.h"
+#include "power/repeat_add.h"
 #include "power/technology.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -120,6 +126,113 @@ TEST(EnergyMeter, BulkAddBitIdenticalToScalarAdds) {
   power::EnergyMeter bulk10;
   bulk10.add(EnergySource::kSenseAmp, 0.1, 10);
   EXPECT_NE(bulk10.total(EnergySource::kSenseAmp), 10.0 * 0.1);
+}
+
+// --- repeat_add: the exact fast-forward of repeated additions --------------
+
+double naive_repeat_add(double acc, const std::vector<double>& values,
+                        std::uint64_t n) {
+  for (std::uint64_t p = 0; p < n; ++p)
+    for (const double v : values) acc += v;
+  return acc;
+}
+
+void expect_repeat_add_exact(double start, const std::vector<double>& values,
+                             std::uint64_t n) {
+  const double fast =
+      power::repeat_add(start, values.data(), values.size(), n);
+  const double naive = naive_repeat_add(start, values, n);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast),
+            std::bit_cast<std::uint64_t>(naive))
+      << "start=" << start << " m=" << values.size() << " n=" << n
+      << " fast=" << fast << " naive=" << naive;
+}
+
+constexpr double kUlpOfOne = 0x1p-52;  // ulp of the binade [1, 2)
+
+TEST(RepeatAdd, MatchesNaiveLoopOnSeededRandomPeriods) {
+  std::mt19937_64 rng(20060306);
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::uniform_int_distribution<int> decade(-17, -11);  // meter-sized joules
+  const std::uint64_t counts[] = {0, 1, 2, 15, 16, 17, 100, 511, 4096, 20000};
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> values(1 + rng() % 64);
+    for (double& v : values) {
+      // Mostly meter-like energies, some exact zeros, some values that
+      // span several decades within one period.
+      const unsigned kind = rng() % 8;
+      v = kind == 0 ? 0.0 : mantissa(rng) * std::pow(10.0, decade(rng));
+    }
+    const double start = (rng() % 3 == 0)
+                             ? 0.0
+                             : mantissa(rng) * std::pow(10.0, decade(rng) + 2);
+    expect_repeat_add_exact(start, values, counts[trial % 10]);
+  }
+}
+
+TEST(RepeatAdd, TiesAtHalfAndThreeHalvesUlpTakeTheLoop) {
+  // Half an ulp of the running sum rounds to the even neighbour, so the
+  // increment depends on the sum's last bit: even sums stay put, odd ones
+  // step up once.
+  for (const double start : {1.0, 1.0 + kUlpOfOne, 1.5, 1.5 + kUlpOfOne}) {
+    expect_repeat_add_exact(start, {0.5 * kUlpOfOne}, 100000);
+    expect_repeat_add_exact(start, {1.5 * kUlpOfOne}, 100000);
+    // A tie next to values that are not.
+    expect_repeat_add_exact(start, {0.3 * kUlpOfOne, 1.5 * kUlpOfOne}, 50000);
+  }
+  // A tie in [1, 2) is three quarters of an ulp past 2: the run takes the
+  // loop up to the binade boundary and may jump after it.
+  expect_repeat_add_exact(2.0 - 1000 * kUlpOfOne, {1.5 * kUlpOfOne}, 100000);
+  expect_repeat_add_exact(2.0 - 1000 * kUlpOfOne, {0.5 * kUlpOfOne}, 100000);
+  // Exactly half an ulp of the binade's top, where rounding up lands on
+  // the next power of two.
+  expect_repeat_add_exact(2.0 - kUlpOfOne, {0.5 * kUlpOfOne}, 20);
+  expect_repeat_add_exact(2.0 - 2 * kUlpOfOne, {1.5 * kUlpOfOne}, 20);
+}
+
+TEST(RepeatAdd, ZeroAndSubnormalStarts) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  expect_repeat_add_exact(0.0, {1e-15}, 1000000);
+  expect_repeat_add_exact(-0.0, {0.0}, 1000);
+  expect_repeat_add_exact(0.0, {0.0, 0.0}, 1000);
+  expect_repeat_add_exact(0.0, {tiny}, 1000000);     // stays subnormal
+  expect_repeat_add_exact(tiny, {tiny, 3 * tiny}, 500000);
+  expect_repeat_add_exact(0.0, {min_normal / 8}, 100000);  // into normals
+  expect_repeat_add_exact(min_normal / 2, {min_normal / 3}, 100000);
+  expect_repeat_add_exact(1e-300, {1e-300, 1e-310}, 100000);
+}
+
+TEST(RepeatAdd, LongRunsCrossingManyBinades) {
+  expect_repeat_add_exact(1e-20, {1.0}, 1000000);  // ~20 binades
+  expect_repeat_add_exact(0.0, {0.1}, 1000000);
+  expect_repeat_add_exact(1e-15, {0.1, 1e-17, 3.7}, 1000000);
+  expect_repeat_add_exact(1.0, {1e-16}, 1000000);  // below half an ulp
+  expect_repeat_add_exact(1.0, {3e-16, 1e-16}, 1000000);
+  // Sums reaching 2^53 and beyond, where whole numbers stop being exact.
+  expect_repeat_add_exact(0x1p52, {1.0, 0.5, 2.5}, 1000000);
+  expect_repeat_add_exact(0x1p53 - 5.0, {1.0}, 1000);
+}
+
+TEST(RepeatAdd, PeriodsOfOneToSixtyFourAndCountsToAMillion) {
+  std::mt19937_64 rng(512);
+  std::uniform_real_distribution<double> joules(1e-15, 1e-12);
+  for (const std::size_t m : {1, 2, 3, 5, 8, 13, 32, 64}) {
+    std::vector<double> values(m);
+    for (double& v : values) v = joules(rng);
+    for (const std::uint64_t n : {17ull, 1000ull, 65537ull, 1000000ull})
+      expect_repeat_add_exact(0.0, values, n);
+    expect_repeat_add_exact(1e-9, values, 1000000);
+  }
+}
+
+TEST(RepeatAdd, NegativeAndNonFiniteOperandsTakeTheLoop) {
+  expect_repeat_add_exact(-1.0, {1e-3}, 5000);  // crosses zero upwards
+  expect_repeat_add_exact(1.0, {-1e-3, 2e-3}, 5000);
+  expect_repeat_add_exact(1.0, {std::numeric_limits<double>::infinity()},
+                          100);
+  expect_repeat_add_exact(std::numeric_limits<double>::infinity(), {1.0},
+                          100);
 }
 
 TEST(EnergyMeter, BulkAddChecksArgumentsLikeScalarAdd) {
