@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,7 +17,6 @@
 #include "dist/job.h"
 #include "dist/service.h"
 #include "dist/steal_queue.h"
-#include "dist/worker.h"
 #include "engine/analytic_backend.h"
 #include "faults/models.h"
 #include "io/serialize.h"
@@ -375,8 +373,8 @@ BENCHMARK(BM_Campaign256_Batched)->Unit(benchmark::kMillisecond);
 
 // --- distributed-subsystem overheads ----------------------------------------
 // The dist/ layer's costs on top of the compute itself: JSON round-trips
-// of results (what every worker->coordinator point pays) and a whole
-// worker shard including protocol framing.  These bound the serialization
+// of results (what every worker->service point pays) and a whole worker
+// shard including result-line encoding.  These bound the serialization
 // tax of going multi-process.
 
 dist::JobSpec bench_sweep_job() {
@@ -391,7 +389,7 @@ dist::JobSpec bench_sweep_job() {
 }
 
 // One evaluated sweep point through the full emit -> parse -> rebuild
-// cycle — the per-result cost of the JSONL protocol.
+// cycle — the per-result cost of the worker result-line protocol.
 void BM_DistPointJsonRoundTrip(benchmark::State& state) {
   core::SessionConfig cfg;
   cfg.geometry = {16, 32, 1};
@@ -408,8 +406,8 @@ void BM_DistPointJsonRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DistPointJsonRoundTrip);
 
-// A whole job spec there and back — what `plan` pays per shard file and
-// every worker pays once at startup.
+// A whole job spec there and back — what a submit pays once and every
+// worker pays on the first shard it leases of a job.
 void BM_DistJobSpecRoundTrip(benchmark::State& state) {
   const dist::JobSpec job = bench_sweep_job();
   for (auto _ : state) {
@@ -422,27 +420,31 @@ void BM_DistJobSpecRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DistJobSpecRoundTrip);
 
-// One worker shard end to end (compute + JSONL framing into memory):
-// compare against BM_SweepPoint-style numbers to see the protocol tax.
+// One worker shard end to end — the shared per-kind execution
+// (dist::execute_indices) plus each result line's encoding, on the first
+// 2 points of the job: compare against BM_SweepPoint-style numbers to see
+// the protocol tax.
 void BM_DistWorkerShard(benchmark::State& state) {
   const dist::JobSpec job = bench_sweep_job();
-  const dist::ShardPlan plan = dist::ShardPlan::contiguous(job.size(), 4);
-  const dist::ShardSpec spec{job, plan, 0};
-  const dist::Worker worker;
+  const std::vector<std::size_t> indices = {0, 1};
   for (auto _ : state) {
-    std::ostringstream out;
-    worker.run(spec, out);
-    benchmark::DoNotOptimize(out.str());
+    std::string out;
+    dist::execute_indices(job, indices, 1, true, [&](io::JsonValue line) {
+      out += line.dump();
+      out += '\n';
+      return true;
+    });
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(plan.size_of(0)));
+                          static_cast<std::int64_t>(indices.size()));
   state.SetLabel("shard points computed+streamed/s");
 }
 BENCHMARK(BM_DistWorkerShard)->Unit(benchmark::kMillisecond);
 
 // --- sweep-service overheads -------------------------------------------------
 // The daemon's costs on top of the dist/ protocol: a whole submit through
-// the socket coordinator (connect + submit + steal + stream + merge)
+// the socket service (connect + submit + steal + stream + merge)
 // against the same submit answered from the fingerprint cache, plus the
 // bare steal-queue coordination cost per shard.
 

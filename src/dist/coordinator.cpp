@@ -3,311 +3,135 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <deque>
+#include <chrono>
+#include <csignal>
 #include <filesystem>
-#include <fstream>
-#include <map>
+#include <optional>
+#include <thread>
 
-#include "obs/log.h"
-#include "obs/metrics.h"
-#include "search/serialize.h"
 #include "util/error.h"
 
 namespace sramlp::dist {
 
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string shard_tag(std::size_t shard) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%04zu", shard);
-  return buf;
-}
-
-/// Expand the "{spec}" / "{out}" placeholders of one argv template element.
-std::string expand_placeholders(std::string arg, const std::string& spec_path,
-                                const std::string& out_path) {
-  const auto replace_all = [&arg](const std::string& from,
-                                  const std::string& to) {
-    for (std::size_t pos = arg.find(from); pos != std::string::npos;
-         pos = arg.find(from, pos + to.size()))
-      arg.replace(pos, from.size(), to);
-  };
-  replace_all("{spec}", spec_path);
-  replace_all("{out}", out_path);
-  return arg;
-}
-
-/// Parse one shard result file; a missing file reads as incomplete.
-ShardResult parse_shard_file(const std::string& path, const JobSpec& job,
-                             const ShardPlan& plan, std::size_t shard) {
-  std::ifstream in(path);
-  if (!in) {
-    ShardResult missing;
-    missing.shard = shard;
-    return missing;
-  }
-  return parse_shard_results(in, job, plan, shard);
-}
+/// How often run_job looks at its workers while it waits on them.
+constexpr std::chrono::milliseconds kPollInterval{5};
 
 }  // namespace
 
-std::string shard_spec_path(const std::string& dir, std::size_t shard) {
-  return (fs::path(dir) / ("shard_" + shard_tag(shard) + ".spec.json"))
-      .string();
-}
-
-std::string shard_result_path(const std::string& dir, std::size_t shard) {
-  return (fs::path(dir) / ("shard_" + shard_tag(shard) + ".jsonl")).string();
-}
-
-void write_shard_spec(const std::string& dir, const ShardSpec& spec) {
-  fs::create_directories(dir);
-  std::ofstream out(shard_spec_path(dir, spec.shard),
-                    std::ios::out | std::ios::trunc);
-  SRAMLP_REQUIRE(out.good(), "cannot write shard spec file in " + dir);
-  out << to_json(spec).dump(2) << '\n';
-  SRAMLP_REQUIRE(out.good(), "short write on shard spec file in " + dir);
-}
-
-MergedResult merge_shard_files(const JobSpec& job, const ShardPlan& plan,
-                               const std::string& dir) {
-  std::vector<std::string> paths;
-  paths.reserve(plan.shard_count);
-  for (std::size_t s = 0; s < plan.shard_count; ++s)
-    paths.push_back(shard_result_path(dir, s));
-  return merge_shard_files(job, plan, paths);
-}
-
-MergedResult merge_shard_files(const JobSpec& job, const ShardPlan& plan,
-                               const std::vector<std::string>& paths) {
-  SRAMLP_REQUIRE(paths.size() == plan.shard_count,
-                 "need exactly one result file per shard");
-  std::vector<ShardResult> results;
-  results.reserve(paths.size());
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    std::ifstream in(paths[s]);
-    SRAMLP_REQUIRE(in.good(), "cannot open shard result file " + paths[s]);
-    results.push_back(parse_shard_results(in, job, plan, s));
-    SRAMLP_REQUIRE(results.back().complete,
-                   "shard result file " + paths[s] +
-                       " is incomplete or belongs to a different job");
-  }
-  return merge_shard_results(job, plan, results);
-}
-
-MergedResult merge_shard_results(const JobSpec& job, const ShardPlan& plan,
-                                 const std::vector<ShardResult>& results) {
-  job.validate();
-  SRAMLP_REQUIRE(plan.total == job.size(),
-                 "shard plan total does not match the job size");
-  SRAMLP_REQUIRE(results.size() == plan.shard_count,
-                 "need exactly one result per shard");
-
-  MergedResult merged;
-  merged.kind = job.kind;
-  std::vector<bool> filled(plan.total, false);
-  if (job.kind == JobSpec::Kind::kSweep) {
-    merged.sweep.resize(plan.total);
-  } else if (job.kind == JobSpec::Kind::kCampaign) {
-    merged.campaign.algorithm = job.test->name();
-    merged.campaign.entries.resize(plan.total);
-  } else {
-    merged.search.resize(plan.total);
-  }
-
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    const ShardResult& result = results[s];
-    SRAMLP_REQUIRE(result.complete && result.shard == s,
-                   "shard " + std::to_string(s) +
-                       "'s result is incomplete or mislabelled");
-    const auto claim = [&](std::size_t index) {
-      SRAMLP_REQUIRE(index < plan.total, "shard result index out of range");
-      SRAMLP_REQUIRE(plan.owner_of(index) == s,
-                     "shard " + std::to_string(s) +
-                         " reported a result it does not own");
-      SRAMLP_REQUIRE(!filled[index], "duplicate result for flat index " +
-                                         std::to_string(index));
-      filled[index] = true;
-    };
-    if (job.kind == JobSpec::Kind::kSweep) {
-      for (const core::SweepPointResult& point : result.sweep) {
-        claim(point.index);
-        merged.sweep[point.index] = point;
-      }
-    } else if (job.kind == JobSpec::Kind::kCampaign) {
-      for (const auto& [index, entry] : result.entries) {
-        claim(index);
-        merged.campaign.entries[index] = entry;
-      }
-    } else {
-      for (const auto& [index, restart] : result.search) {
-        claim(index);
-        merged.search[index] = restart;
-      }
+LocalWorkers::LocalWorkers(
+    const std::vector<std::vector<std::string>>& commands,
+    const std::string& address) {
+  for (const std::vector<std::string>& command : commands) {
+    SRAMLP_REQUIRE(!command.empty(), "empty worker command");
+    // The argv is built before fork: the child of a threaded process may
+    // only exec.
+    std::vector<std::string> args = command;
+    args.push_back("--connect");
+    args.push_back(address);
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      kill_all();
+      throw Error("fork failed while spawning workers");
     }
+    if (pid == 0) {
+      ::execv(argv[0], argv.data());
+      ::_exit(127);
+    }
+    running_.push_back(pid);
   }
-  for (std::size_t i = 0; i < plan.total; ++i)
-    SRAMLP_REQUIRE(filled[i],
-                   "no shard reported flat index " + std::to_string(i));
-  return merged;
 }
 
-std::string merged_document(const MergedResult& merged) {
-  io::JsonValue doc = io::JsonValue::object();
-  if (merged.kind == JobSpec::Kind::kSweep) {
-    doc.set("kind", io::JsonValue::string("sweep"));
-    io::JsonValue points = io::JsonValue::array();
-    for (const core::SweepPointResult& p : merged.sweep)
-      points.push_back(io::to_json(p));
-    doc.set("points", std::move(points));
-  } else if (merged.kind == JobSpec::Kind::kCampaign) {
-    doc.set("kind", io::JsonValue::string("campaign"));
-    doc.set("algorithm", io::JsonValue::string(merged.campaign.algorithm));
-    io::JsonValue entries = io::JsonValue::array();
-    for (const core::CampaignEntry& e : merged.campaign.entries)
-      entries.push_back(io::to_json(e));
-    doc.set("entries", std::move(entries));
-  } else {
-    // The global Pareto front depends only on the per-restart results
-    // (search::merge_front), so this document is byte-identical whether the
-    // restarts came from one process, N shards, or the service.
-    doc.set("kind", io::JsonValue::string("search"));
-    io::JsonValue restarts = io::JsonValue::array();
-    for (const search::RestartResult& r : merged.search)
-      restarts.push_back(io::to_json(r));
-    doc.set("restarts", std::move(restarts));
-    io::JsonValue front = io::JsonValue::array();
-    for (const search::ScheduleResult& point :
-         search::merge_front(merged.search))
-      front.push_back(io::to_json(point));
-    doc.set("front", std::move(front));
-  }
-  return doc.dump(2) + "\n";
+LocalWorkers::~LocalWorkers() { kill_all(); }
+
+void LocalWorkers::kill_all() {
+  for (const pid_t pid : running_) ::kill(pid, SIGKILL);
+  wait();
 }
 
-ShardPlan Coordinator::plan_for(const JobSpec& job) const {
-  return ShardPlan::make(job.size(), options_.shards, options_.strategy);
-}
-
-MergedResult Coordinator::run(const JobSpec& job) const {
-  job.validate();
-  SRAMLP_REQUIRE(!options_.work_dir.empty(),
-                 "the coordinator needs a work directory");
-  SRAMLP_REQUIRE(options_.max_workers >= 1,
-                 "the coordinator needs at least one worker");
-  fs::create_directories(options_.work_dir);
-  const ShardPlan plan = plan_for(job);
-
-  // Each shard's file is parsed exactly once — at the resume check or
-  // after its worker exits — and the parsed results feed the merge
-  // directly, so nothing is deserialized twice.
-  std::vector<ShardResult> results(plan.shard_count);
-
-  // Checkpoint/resume: shards whose result files already parse complete
-  // for THIS job need no subprocess at all.
-  std::deque<std::size_t> queue;
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    if (options_.resume) {
-      results[s] = parse_shard_file(shard_result_path(options_.work_dir, s),
-                                    job, plan, s);
-      if (results[s].complete) continue;
-    }
-    queue.push_back(s);
-  }
-
-  const bool exec_mode = !options_.worker_command.empty();
-  if (exec_mode) {
-    for (const std::size_t s : queue)
-      write_shard_spec(options_.work_dir, ShardSpec{job, plan, s});
-  }
-
-  const auto spawn = [&](std::size_t shard, bool crash_for_test) -> pid_t {
-    const std::string spec_path = shard_spec_path(options_.work_dir, shard);
-    const std::string out_path = shard_result_path(options_.work_dir, shard);
-    const pid_t pid = fork();
-    SRAMLP_REQUIRE(pid >= 0, "fork failed");
-    if (pid > 0) return pid;
-    // --- child -----------------------------------------------------------
-    if (crash_for_test) _exit(86);  // simulated kill, before any output
-    if (exec_mode) {
-      std::vector<std::string> args;
-      args.reserve(options_.worker_command.size());
-      for (const std::string& arg : options_.worker_command)
-        args.push_back(expand_placeholders(arg, spec_path, out_path));
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& arg : args) argv.push_back(arg.data());
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);  // exec failed
-    }
-    // Fork-run mode: execute the worker right here in the child.
-    try {
-      std::ofstream out(out_path, std::ios::out | std::ios::trunc);
-      if (!out.good()) _exit(1);
-      Worker::Options worker_options = options_.worker;
-      if (shard == options_.slow_shard)
-        worker_options.slow_point_us = options_.slow_point_us;
-      Worker(worker_options).run(ShardSpec{job, plan, shard}, out);
-      out.close();
-      _exit(out.good() ? 0 : 1);
-    } catch (...) {
-      _exit(1);
-    }
-  };
-
-  std::map<pid_t, std::size_t> running;
-  std::vector<unsigned> attempts(plan.shard_count, 0);
-  while (!queue.empty() || !running.empty()) {
-    while (!queue.empty() && running.size() < options_.max_workers) {
-      const std::size_t shard = queue.front();
-      queue.pop_front();
-      ++attempts[shard];
-      const bool crash_for_test =
-          shard == options_.crash_first_attempt_of_shard &&
-          attempts[shard] == 1;
-      running.emplace(spawn(shard, crash_for_test), shard);
-    }
+std::size_t LocalWorkers::poll() {
+  std::erase_if(running_, [](pid_t pid) {
     int status = 0;
-    pid_t pid = -1;
+    pid_t reaped = 0;
     do {
-      pid = waitpid(-1, &status, 0);
-    } while (pid < 0 && errno == EINTR);
-    SRAMLP_REQUIRE(pid > 0, "waitpid failed");
-    const auto it = running.find(pid);
-    if (it == running.end()) continue;  // not one of ours
-    const std::size_t shard = it->second;
-    running.erase(it);
-    // A clean exit still has to produce a complete, parseable result file;
-    // anything else is a crashed shard.
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      results[shard] = parse_shard_file(
-          shard_result_path(options_.work_dir, shard), job, plan, shard);
-      if (results[shard].complete) continue;
+      reaped = ::waitpid(pid, &status, WNOHANG);
+    } while (reaped < 0 && errno == EINTR);
+    return reaped != 0;  // exited, or no longer a child of ours
+  });
+  return running_.size();
+}
+
+void LocalWorkers::wait() {
+  for (const pid_t pid : running_) {
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
-    if (attempts[shard] > options_.retries)
-      throw Error("shard " + std::to_string(shard) + " failed " +
-                  std::to_string(attempts[shard]) +
-                  " times; giving up (see " +
-                  shard_result_path(options_.work_dir, shard) + ")");
-    obs::log_warn("coordinator", "shard worker crashed; retrying",
-                  {obs::kv("shard", shard),
-                   obs::kv("attempt",
-                           static_cast<std::uint64_t>(attempts[shard])),
-                   obs::kv("retries",
-                           static_cast<std::uint64_t>(options_.retries))});
-    obs::Registry::global()
-        .counter("sramlp_coordinator_shard_retries_total",
-                 "Fork/exec coordinator shards re-run after a crash")
-        .inc();
-    queue.push_back(shard);
+  }
+  running_.clear();
+}
+
+SubmitResult run_job(const JobSpec& job, const std::string& dir,
+                     const std::vector<std::vector<std::string>>&
+                         worker_commands) {
+  job.validate();
+  SRAMLP_REQUIRE(!worker_commands.empty(), "a run needs at least one worker");
+  std::filesystem::create_directories(dir);
+  Service::Options options;
+  options.cache.spill_path =
+      (std::filesystem::path(dir) / "results.jsonl").string();
+  Service service(options);
+  service.start();
+  LocalWorkers workers(worker_commands, service.address());
+  const std::string all_exited =
+      "every worker exited before the job completed";
+
+  // Submit once each worker has connected or died: stopping the service
+  // under a worker still dialling it would leave that worker retrying a
+  // dead address.
+  for (;;) {
+    const std::size_t running = workers.poll();
+    if (running == 0) throw Error(all_exited);
+    const std::size_t exited = worker_commands.size() - running;
+    if (service.stats().workers_connected + exited >= worker_commands.size())
+      break;
+    std::this_thread::sleep_for(kPollInterval);
   }
 
-  return merge_shard_results(job, plan, results);
+  std::optional<SubmitResult> result;
+  std::string error;
+  std::atomic<bool> answered{false};
+  std::thread submitter([&] {
+    try {
+      result = submit_job(service.address(), job);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    answered = true;
+  });
+  // A job nobody is left to compute would block the submit forever;
+  // stopping the service ends it with a lost connection instead.
+  bool workers_gone = false;
+  while (!answered) {
+    if (workers.poll() == 0) {
+      workers_gone = true;
+      service.request_stop();
+      break;
+    }
+    std::this_thread::sleep_for(kPollInterval);
+  }
+  submitter.join();
+  service.request_stop();
+  service.wait();
+  workers.wait();
+  if (result) return std::move(*result);
+  throw Error(workers_gone ? all_exited : error);
 }
 
 }  // namespace sramlp::dist

@@ -1,118 +1,58 @@
-// Coordinator side of the distributed protocol: fan a job's shards over N
-// worker subprocesses, survive crashes, and merge the result files back
-// into flat-index order bit-identical to a single-process run.
+// One-shot runs of a job: an ephemeral in-process Service, subprocess
+// workers on the steal protocol, and a result-cache spill file in a work
+// directory — the engine behind `sramlp_dist run`.
 //
-// Execution model (fork/exec, no sockets — the transport is the
-// filesystem, which is what lets the same protocol span hosts: run
-// `sramlp_dist worker` remotely on a shard spec file and `merge` the
-// copied-back JSONL):
-//
-//   * each shard runs in its own subprocess — either fork-and-run (the
-//     worker executes in a forked child of this process; the default, and
-//     what embedded/test callers use) or fork+exec of a caller-supplied
-//     argv template (what the CLI uses to spawn `sramlp_dist worker`
-//     subprocesses of its own binary);
-//   * up to max_workers children run concurrently; completion order is
-//     irrelevant because results carry their flat indices;
-//   * a shard whose child exits non-zero, dies on a signal, or leaves an
-//     incomplete result file is retried (fresh subprocess), `retries`
-//     times; persistent failure throws;
-//   * checkpoint/resume: a shard whose result file already parses complete
-//     for THIS job (fingerprint-checked) is skipped entirely — so a rerun
-//     after a killed coordinator (or a killed worker) only recomputes what
-//     is actually missing.
+// Resume is the point cache: the service appends every point to the
+// spill file when its result is delivered, so a rerun over the same
+// directory recomputes only the indices a killed run never delivered,
+// and a rerun after a completed run is answered whole from the spill.
+// The same LocalWorkers helper spawns `sramlp_dist serve`'s local
+// workers.
 #pragma once
 
-#include <cstddef>
+#include <sys/types.h>
+
 #include <string>
 #include <vector>
 
 #include "dist/job.h"
-#include "dist/worker.h"
+#include "dist/service.h"
 
 namespace sramlp::dist {
 
-/// A whole job's results, merged back into flat-index order.
-struct MergedResult {
-  JobSpec::Kind kind = JobSpec::Kind::kSweep;
-  /// Sweep jobs: results[i] is grid point i — the same vector
-  /// SweepRunner::run produces, to the bit.
-  std::vector<core::SweepPointResult> sweep;
-  /// Campaign jobs: entries[i] describes faults[i], bit-identical to
-  /// CampaignRunner::run.  Cross-process session accounting is not
-  /// aggregated: session_pairs / batch_sessions are zero.
-  core::CampaignReport campaign;
-  /// Search jobs: search[i] is restart i — the same vector
-  /// search::run_search produces, to the bit.
-  std::vector<search::RestartResult> search;
-};
-
-/// Well-known file layout inside a work directory.
-std::string shard_spec_path(const std::string& dir, std::size_t shard);
-std::string shard_result_path(const std::string& dir, std::size_t shard);
-
-/// Write @p spec to shard_spec_path(dir, spec.shard) (pretty-printed).
-void write_shard_spec(const std::string& dir, const ShardSpec& spec);
-
-/// Merge already-parsed shard results into flat order.  results[s] must be
-/// shard s's complete result; throws sramlp::Error on an incomplete shard,
-/// foreign/duplicate indices, or uncovered slots.
-MergedResult merge_shard_results(const JobSpec& job, const ShardPlan& plan,
-                                 const std::vector<ShardResult>& results);
-
-/// The canonical merged document — what `sramlp_dist run`, `merge` and
-/// `single` write and the sweep service streams back on job completion:
-/// every distributed path's byte-level diff target.
-std::string merged_document(const MergedResult& merged);
-
-/// Merge per-shard result files into flat order.  Every shard's file must
-/// parse complete for @p job; throws sramlp::Error naming the first shard
-/// that does not.  @p paths defaults to shard_result_path(dir, k).
-MergedResult merge_shard_files(const JobSpec& job, const ShardPlan& plan,
-                               const std::string& dir);
-MergedResult merge_shard_files(const JobSpec& job, const ShardPlan& plan,
-                               const std::vector<std::string>& paths);
-
-class Coordinator {
+/// Worker subprocesses: one fork/exec per command, each with
+/// `--connect ADDRESS` appended (the `sramlp_dist work` contract).
+class LocalWorkers {
  public:
-  struct Options {
-    std::size_t shards = 4;        ///< how many shards to split the job into
-    unsigned max_workers = 2;      ///< concurrent worker subprocesses
-    ShardStrategy strategy = ShardStrategy::kContiguous;
-    Worker::Options worker;        ///< per-shard execution options
-    /// Directory for shard spec / result files (created if missing).
-    std::string work_dir;
-    /// Skip shards whose result files already parse complete for this job.
-    bool resume = true;
-    /// Re-runs granted to a crashed / incomplete shard before giving up.
-    unsigned retries = 1;
-    /// Exec-mode argv template; "{spec}" / "{out}" expand to the shard's
-    /// spec and result paths.  Empty = run the worker in a forked child of
-    /// this process.
-    std::vector<std::string> worker_command;
-    /// Test-only fault injection: the first subprocess launched for this
-    /// shard exits immediately with a failure (as if the worker was
-    /// killed), exercising the retry path.  SIZE_MAX = disabled.
-    std::size_t crash_first_attempt_of_shard = static_cast<std::size_t>(-1);
-    /// Scheduling-comparison hook: this one shard (fork-run mode only)
-    /// runs with `slow_point_us` extra delay per point — a slow host under
-    /// a static plan, the counterpart of ServiceWorker's slow_point_us on
-    /// the steal queue.  SIZE_MAX = disabled.
-    std::size_t slow_shard = static_cast<std::size_t>(-1);
-    std::uint64_t slow_point_us = 0;
-  };
+  LocalWorkers(const std::vector<std::vector<std::string>>& commands,
+               const std::string& address);
+  /// Kills and reaps whatever still runs; wait() is the clean exit.
+  ~LocalWorkers();
 
-  explicit Coordinator(const Options& options) : options_(options) {}
+  LocalWorkers(const LocalWorkers&) = delete;
+  LocalWorkers& operator=(const LocalWorkers&) = delete;
 
-  /// Execute @p job: plan shards, (re)run the incomplete ones, merge.
-  MergedResult run(const JobSpec& job) const;
+  /// Reap the workers that have exited, without blocking; returns how
+  /// many still run.
+  std::size_t poll();
 
-  /// The plan this coordinator derives for @p job (also derived,
-  /// identically, by every worker).
-  ShardPlan plan_for(const JobSpec& job) const;
+  /// Block until every worker has exited.
+  void wait();
 
  private:
-  Options options_;
+  void kill_all();
+
+  std::vector<pid_t> running_;
 };
+
+/// Run @p job once: start a Service on a loopback port with its spill
+/// file in @p dir, spawn @p worker_commands against it, submit, and stop
+/// everything once the merged document is back.  Points an earlier run
+/// over @p dir delivered come from the spill instead of a worker.  Throws
+/// sramlp::Error naming the cause when every worker exits before the job
+/// completes.
+SubmitResult run_job(const JobSpec& job, const std::string& dir,
+                     const std::vector<std::vector<std::string>>&
+                         worker_commands);
 
 }  // namespace sramlp::dist

@@ -5,11 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/fault_campaign.h"
-#include "core/sweep.h"
-#include "dist/coordinator.h"
-#include "io/serialize.h"
-#include "search/serialize.h"
 #include "obs/clock.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -142,6 +137,16 @@ io::JsonValue error_message(const char* type, const std::string& error) {
   return v;
 }
 
+/// The submitter's copy of a worker's result line: the same members minus
+/// the routing fingerprint.
+io::JsonValue client_line(const io::JsonValue& message) {
+  io::JsonValue line = io::JsonValue::object();
+  line.set("type", message.at("type"));
+  if (message.has("index")) line.set("index", message.at("index"));
+  line.set("data", message.at("data"));
+  return line;
+}
+
 io::JsonValue to_json(const ResultCache::Stats& stats) {
   io::JsonValue v = io::JsonValue::object();
   v.set("hits", io::JsonValue::integer(stats.hits));
@@ -201,30 +206,6 @@ ServiceStats service_stats_from_json(const io::JsonValue& json) {
 
 }  // namespace
 
-std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index) {
-  io::JsonValue key = io::JsonValue::object();
-  if (job.kind == JobSpec::Kind::kSweep) {
-    std::size_t geometry = 0, background = 0, algorithm = 0;
-    job.grid.split(index, &geometry, &background, &algorithm);
-    key.set("kind", io::JsonValue::string("sweep_point"));
-    key.set("config", io::to_json(job.grid.config_at(index)));
-    key.set("test", io::to_json(job.grid.algorithms[algorithm]));
-  } else if (job.kind == JobSpec::Kind::kCampaign) {
-    key.set("kind", io::JsonValue::string("campaign_entry"));
-    key.set("config", io::to_json(job.config));
-    key.set("test", io::to_json(*job.test));
-    key.set("fault", io::to_json(job.faults[index]));
-  } else {
-    // A restart result is a pure function of (whole spec, restart index),
-    // so the key must cover the entire SearchSpec — two jobs share a
-    // cached restart only when every search knob matches.
-    key.set("kind", io::JsonValue::string("search_restart"));
-    key.set("search", io::to_json(*job.search));
-    key.set("restart", io::JsonValue::integer(index));
-  }
-  return fnv1a64(key.dump());
-}
-
 // --- Service internals -------------------------------------------------------
 
 /// One job mid-execution: its steal queue, the result slots filling in,
@@ -236,9 +217,7 @@ struct Service::ActiveJob {
   std::unique_ptr<StealQueue> queue;  ///< indirect: StealQueue owns a mutex
   std::size_t total = 0;
   std::size_t cached_points = 0;
-  std::vector<core::SweepPointResult> sweep;
-  std::vector<core::CampaignEntry> entries;
-  std::vector<search::RestartResult> search;
+  MergedResult result;  ///< slots fill in as points arrive
   std::vector<bool> filled;
   std::size_t filled_count = 0;
   std::vector<std::shared_ptr<io::LineChannel>> listeners;
@@ -510,12 +489,7 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
   active->total = total;
   active->submitter = submitter;
   active->filled.assign(total, false);
-  if (active->job.kind == JobSpec::Kind::kSweep)
-    active->sweep.resize(total);
-  else if (active->job.kind == JobSpec::Kind::kCampaign)
-    active->entries.resize(total);
-  else
-    active->search.resize(total);
+  active->result = empty_result(active->job);
 
   // Per-point cache: indices the service has answered before (under any
   // job) are filled from the cache; only the rest go onto the steal queue.
@@ -531,28 +505,7 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
     }
     io::JsonValue line;
     try {
-      const io::JsonValue data = io::JsonValue::parse(*payload);
-      if (active->job.kind == JobSpec::Kind::kSweep) {
-        core::SweepPointResult point = io::sweep_point_from_json(data);
-        // Cached payloads are grid-neutral (coordinates zeroed); rebind
-        // them to this job's grid.
-        point.index = i;
-        active->job.grid.split(i, &point.geometry, &point.background,
-                               &point.algorithm);
-        active->sweep[i] = point;
-        line = make_message("sweep_point");
-        line.set("data", io::to_json(point));
-      } else if (active->job.kind == JobSpec::Kind::kCampaign) {
-        active->entries[i] = io::campaign_entry_from_json(data);
-        line = make_message("campaign_entry");
-        line.set("index", io::JsonValue::integer(i));
-        line.set("data", io::to_json(active->entries[i]));
-      } else {
-        active->search[i] = io::restart_result_from_json(data);
-        line = make_message("search_restart");
-        line.set("index", io::JsonValue::integer(i));
-        line.set("data", io::to_json(active->search[i]));
-      }
+      line = rebind_payload(active->job, i, *payload, active->result);
     } catch (const Error& e) {
       obs::log_warn("service", "unreadable point-cache entry; recomputing",
                     {obs::kv_hex("job", fingerprint), obs::kv("index", i),
@@ -754,44 +707,27 @@ bool Service::deliver_result(const io::JsonValue& message) {
   if (it == active_jobs_.end()) return false;  // stale: job already closed
   const std::shared_ptr<ActiveJob> job = it->second;
   std::size_t index = 0;
-  io::JsonValue line;
   try {
-    if (job->job.kind == JobSpec::Kind::kSweep) {
-      core::SweepPointResult point =
-          io::sweep_point_from_json(message.at("data"));
-      index = point.index;
-      SRAMLP_REQUIRE(index < job->total, "worker result index out of range");
-      if (job->filled[index]) return true;  // requeue-race duplicate
-      job->sweep[index] = std::move(point);
-      line = make_message("sweep_point");
-      line.set("data", message.at("data"));
-    } else if (job->job.kind == JobSpec::Kind::kCampaign) {
-      index = message.at("index").as_size();
-      SRAMLP_REQUIRE(index < job->total, "worker result index out of range");
-      if (job->filled[index]) return true;
-      job->entries[index] = io::campaign_entry_from_json(message.at("data"));
-      line = make_message("campaign_entry");
-      line.set("index", io::JsonValue::integer(index));
-      line.set("data", message.at("data"));
-    } else {
-      index = message.at("index").as_size();
-      SRAMLP_REQUIRE(index < job->total, "worker result index out of range");
-      if (job->filled[index]) return true;
-      job->search[index] = io::restart_result_from_json(message.at("data"));
-      line = make_message("search_restart");
-      line.set("index", io::JsonValue::integer(index));
-      line.set("data", message.at("data"));
-    }
+    // A requeue-race duplicate rewrites its slot with identical bits:
+    // results are deterministic.
+    index = store_result(message, job->result);
   } catch (const Error& e) {
     obs::log_warn("service", "malformed worker result line; dropped",
                   {obs::kv_hex("job", job->fingerprint),
                    obs::kv("error", e.what())});
     return false;  // malformed worker line: drop it, the requeue covers us
   }
+  if (job->filled[index]) return true;
   job->filled[index] = true;
   ++job->filled_count;
   ++stats_.points_executed;
   ServiceMetrics::get().points_executed.inc();
+  // Cached on delivery, not at job end, so a killed run's finished points
+  // survive in the spill for the rerun.
+  if (options_.point_cache)
+    cache_.put(point_fingerprint(job->job, index),
+               point_payload(job->result, index));
+  io::JsonValue line = client_line(message);
   for (const auto& listener : job->listeners) listener->send(line);
   job->replay.push_back(std::move(line));
   return true;
@@ -809,39 +745,8 @@ void Service::finalize_job_locked(std::unique_lock<std::mutex>& lock,
   (void)lock;  // held by the caller; sends go out under it by design
   obs::SpanGuard finalize_span("finalize", "service");
   finalize_span.arg("job", job->fingerprint);
-  MergedResult merged;
-  merged.kind = job->job.kind;
-  if (job->job.kind == JobSpec::Kind::kSweep) {
-    merged.sweep = job->sweep;
-  } else if (job->job.kind == JobSpec::Kind::kCampaign) {
-    merged.campaign.algorithm = job->job.test->name();
-    merged.campaign.entries = job->entries;
-  } else {
-    merged.search = job->search;
-  }
-  const std::string document = merged_document(merged);
-
+  const std::string document = merged_document(job->result);
   cache_.put(job->fingerprint, document);
-  if (options_.point_cache) {
-    for (std::size_t i = 0; i < job->total; ++i) {
-      std::string payload;
-      if (job->job.kind == JobSpec::Kind::kSweep) {
-        // Store grid-neutral: zero the grid coordinates so the same
-        // physical point hits from any future grid shape.
-        core::SweepPointResult neutral = job->sweep[i];
-        neutral.index = 0;
-        neutral.geometry = 0;
-        neutral.background = 0;
-        neutral.algorithm = 0;
-        payload = io::to_json(neutral).dump();
-      } else if (job->job.kind == JobSpec::Kind::kCampaign) {
-        payload = io::to_json(job->entries[i]).dump();
-      } else {
-        payload = io::to_json(job->search[i]).dump();
-      }
-      cache_.put(point_fingerprint(job->job, i), std::move(payload));
-    }
-  }
 
   const StealQueue::Stats queue_stats = job->queue->stats();
   io::JsonValue complete = make_message("job_complete");
@@ -984,55 +889,19 @@ std::size_t ServiceWorker::run(const std::string& address,
     execute_span.arg("points", indices.size());
     const std::uint64_t execute_start_us = obs::monotonic_micros();
     try {
-      const auto emit_point = [&](io::JsonValue line) -> bool {
-        if (options_.slow_point_us > 0)
-          ::usleep(static_cast<useconds_t>(options_.slow_point_us));
-        if (computed >= options_.die_after_points)
-          return false;  // simulated kill: vanish mid-shard
-        if (!channel.send(line)) return false;
-        ++computed;
-        return true;
-      };
-      if (job.kind == JobSpec::Kind::kSweep) {
-        // The exact single-process arithmetic on the stolen subset —
-        // identical bits whichever worker steals which indices.
-        const core::SweepRunner runner(core::SweepRunner::Options{
-            options_.threads, core::BackendChoice::kAuto});
-        const std::vector<core::SweepPointResult> points =
-            runner.run_indices(job.grid, indices);
-        for (const core::SweepPointResult& point : points) {
-          io::JsonValue line = make_message("sweep_point");
-          line.set("fingerprint", io::JsonValue::integer(fingerprint));
-          line.set("data", io::to_json(point));
-          if (!emit_point(std::move(line))) return computed;
-        }
-      } else if (job.kind == JobSpec::Kind::kCampaign) {
-        core::CampaignRunner::Options campaign_options;
-        campaign_options.threads = options_.threads;
-        campaign_options.batched = options_.batched_campaigns;
-        const std::vector<core::CampaignEntry> entries =
-            core::CampaignRunner(campaign_options)
-                .run_subset(job.config, *job.test, job.faults, indices);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          io::JsonValue line = make_message("campaign_entry");
-          line.set("fingerprint", io::JsonValue::integer(fingerprint));
-          line.set("index", io::JsonValue::integer(indices[j]));
-          line.set("data", io::to_json(entries[j]));
-          if (!emit_point(std::move(line))) return computed;
-        }
-      } else {
-        // run_restart(spec, r) is pure, so the stolen restarts are
-        // bit-identical to the single-process slots they fill.
-        for (const std::size_t index : indices) {
-          const search::RestartResult restart =
-              search::run_restart(*job.search, index);
-          io::JsonValue line = make_message("search_restart");
-          line.set("fingerprint", io::JsonValue::integer(fingerprint));
-          line.set("index", io::JsonValue::integer(index));
-          line.set("data", io::to_json(restart));
-          if (!emit_point(std::move(line))) return computed;
-        }
-      }
+      const bool streamed = execute_indices(
+          job, indices, options_.threads, options_.batched_campaigns,
+          [&](io::JsonValue line) {
+            if (options_.slow_point_us > 0)
+              ::usleep(static_cast<useconds_t>(options_.slow_point_us));
+            if (computed >= options_.die_after_points)
+              return false;  // simulated kill: vanish mid-shard
+            line.set("fingerprint", io::JsonValue::integer(fingerprint));
+            if (!channel.send(line)) return false;
+            ++computed;
+            return true;
+          });
+      if (!streamed) return computed;
     } catch (const std::exception& e) {
       metrics.shards_failed.inc();
       obs::log_warn("worker", "shard computation failed",

@@ -1,30 +1,30 @@
-// The sweep service: a long-running coordinator daemon with dynamic shard
-// stealing and a fingerprint-keyed result cache.
-//
-// The fork/exec Coordinator answers "run this job once, survive crashes";
-// the service answers "keep answering jobs" — the ROADMAP's
+// The sweep service: a coordinator daemon with dynamic shard stealing and
+// a fingerprint-keyed result cache — the one distributed execution path.
+// A long-running `sramlp_dist serve` keeps answering jobs; a one-shot
+// `sramlp_dist run` is the same service, ephemeral, with its spill file
+// in a work directory (dist/coordinator.h).  The ROADMAP's
 // millions-of-users shape, where analytic points cost ~0.2 ms and the
-// dominant costs are process spawn, static shard imbalance and
-// recomputing grid points already solved.  Three moves:
+// dominant costs are process spawn, shard imbalance and recomputing grid
+// points already solved, rests on three moves:
 //
 //   * keep-alive socket protocol — jobs arrive as JSON over a Unix/TCP
 //     socket (io::LineChannel frames the existing exact wire format) and
-//     the shard result stream goes back to the submitter LIVE, line by
-//     line, as workers finish points;
-//   * dynamic shard stealing — instead of a static ShardPlan, each job is
-//     chopped into many small StealQueue shards that idle workers pull;
-//     a deliberately slow worker just steals fewer shards (see
-//     tests/test_service_soak.cpp for the static-vs-steal wall-clock
-//     comparison).  A worker that dies mid-shard has its leases requeued;
-//     partially streamed points are idempotent because results are
-//     deterministic and carry their flat indices;
+//     the result stream goes back to the submitter LIVE, line by line,
+//     as workers finish points;
+//   * dynamic shard stealing — each job is chopped into many small
+//     StealQueue shards that idle workers pull, so a deliberately slow
+//     worker just steals fewer shards (see tests/test_service_soak.cpp).
+//     A worker that dies mid-shard has its leases requeued; partially
+//     streamed points are idempotent because results are deterministic
+//     and carry their flat indices;
 //   * result cache — completed jobs are cached as their exact merged
 //     document bytes keyed by JobSpec::fingerprint() (memory LRU +
 //     on-disk JSONL spill, ResultCache), so a resubmitted job is a
 //     lookup, not a run, and byte-identical to the fresh run.  Individual
-//     grid points / campaign entries are cached under their own canonical
-//     fingerprints too, so a NEW job overlapping an old one only computes
-//     the indices never seen before.
+//     grid points / campaign entries / search restarts are cached under
+//     their own canonical fingerprints as soon as they are delivered, so
+//     a NEW job overlapping an old one — or a rerun of a job whose daemon
+//     was killed — only computes the indices never seen before.
 //
 // Topology: one Service process; any number of ServiceWorker processes or
 // threads connect and steal (the `sramlp_dist serve` CLI spawns N worker
@@ -33,9 +33,6 @@
 // connect, send one job, and read the stream.  Identical jobs submitted
 // while one is in flight attach to it (deduplicated, replayed from the
 // start) rather than recomputing.
-//
-// The fork/exec Coordinator (`sramlp_dist run`) remains the degraded-path
-// fallback: batch runs, file transports, checkpoint/resume.
 #pragma once
 
 #include <condition_variable>
@@ -55,12 +52,6 @@
 #include "io/framing.h"
 
 namespace sramlp::dist {
-
-/// Canonical cache key of one work item: grid point @p index of a sweep
-/// job, or fault @p index of a campaign job.  Two jobs that contain the
-/// same point (same session config + algorithm (+ fault)) produce the same
-/// key whatever the rest of their grids look like.
-std::uint64_t point_fingerprint(const JobSpec& job, std::size_t index);
 
 struct ServiceStats {
   std::uint64_t jobs_submitted = 0;
@@ -93,8 +84,9 @@ class Service {
     unsigned shard_retries = 1;
     /// Result cache tiers (capacity + optional spill file).
     ResultCache::Options cache;
-    /// Also cache individual grid points / campaign entries, so new jobs
-    /// that overlap old ones skip the overlap.
+    /// Also cache individual work items as they are delivered, so new
+    /// jobs that overlap old ones (and reruns of killed jobs) skip the
+    /// overlap.
     bool point_cache = true;
   };
 
@@ -165,8 +157,9 @@ class Service {
 };
 
 /// Worker half of the steal protocol: connect, steal shards, compute them
-/// through the exact single-process entry points, stream results.  Run it
-/// on a thread (tests, benches) or in a process (`sramlp_dist work`).
+/// through dist::execute_indices (the exact single-process entry points),
+/// stream results.  Run it on a thread (tests, benches) or in a process
+/// (`sramlp_dist work`).
 class ServiceWorker {
  public:
   struct Options {
@@ -175,10 +168,11 @@ class ServiceWorker {
     unsigned threads = 1;
     bool batched_campaigns = true;
     /// Artificial per-point delay — models a slow host (benches, the
-    /// steal-vs-static soak comparison).
+    /// slow-worker soak test).
     std::uint64_t slow_point_us = 0;
-    /// Soak-test kill switch: after streaming this many points the worker
-    /// drops its connection mid-shard (no shard_done), as if killed.
+    /// Kill switch for the soak and resume tests: after streaming this
+    /// many points the worker drops its connection mid-shard (no
+    /// shard_done), as if killed.
     std::size_t die_after_points = static_cast<std::size_t>(-1);
   };
 

@@ -3,8 +3,8 @@
 //
 // The dist/ wire format is already exact — io::JsonValue round-trips every
 // double and uint64 to the bit — so the service protocol reuses it
-// verbatim: one compact JSON document per line, the same shape the shard
-// result files use.  This header supplies the missing transport: RAII
+// verbatim: one compact JSON document per line, the same shape the
+// result-cache spill file uses.  This header supplies the transport: RAII
 // socket ownership, address parsing ("unix:/path", "tcp:port",
 // "tcp:host:port"), and LineChannel, a buffered bidirectional channel
 // that sends and receives whole framed documents.
@@ -85,7 +85,7 @@ class LineChannel {
 
   /// Receive the next framed document.  Returns nullopt on EOF, a dead
   /// peer, or an unparseable frame (a truncated write from a killed
-  /// worker reads as end-of-stream, exactly like the shard-file rule).
+  /// worker reads as end-of-stream).
   std::optional<JsonValue> receive();
 
   /// Unblock a reader parked in receive() from another thread.

@@ -3,8 +3,8 @@
 // Every pair here is round-trip exact: `X_from_json(to_json(x))` rebuilds a
 // value whose execution behaviour — and, for results, whose every double —
 // is bit-identical to the original.  That is the contract the distributed
-// subsystem (src/dist/) stands on: a coordinator merging worker-emitted
-// JSONL must reproduce a single-process run to the bit.
+// subsystem (src/dist/) stands on: a service merging worker-emitted
+// result lines must reproduce a single-process run to the bit.
 //
 // Conventions:
 //   * enums travel as stable lowercase slugs (not integers), so documents

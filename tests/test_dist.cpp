@@ -1,23 +1,23 @@
-// The distributed-execution subsystem: shard-plan ownership invariants,
-// the worker JSONL protocol, and the acceptance anchor — a sharded run
-// (any shard count, any worker count, including crash-retry and a resume
-// over a killed worker's partial file) merges to results bit-identical to
-// a single-process SweepRunner::run / CampaignRunner::run.
+// The distributed-execution subsystem's per-kind seam (dist/job.h): job
+// spec round trips, result lines equal to direct execution and their
+// flat-slot merge, the point-cache payload round trip, and the acceptance
+// anchor — a job computed by service workers (any shard size, traced or
+// not) is byte-identical to the single-process run.  `run_job`'s named
+// failure when every worker dies is pinned here too; the CLI drive of
+// `run` lives in test_dist_cli.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/fault_campaign.h"
 #include "core/sweep.h"
 #include "dist/coordinator.h"
 #include "dist/job.h"
-#include "dist/shard.h"
-#include "dist/worker.h"
+#include "dist/service.h"
 #include "io/serialize.h"
 #include "march/algorithms.h"
 #include "util/error.h"
@@ -27,8 +27,6 @@ namespace {
 namespace fs = std::filesystem;
 using namespace sramlp;
 using dist::JobSpec;
-using dist::ShardPlan;
-using dist::ShardStrategy;
 
 /// Fresh per-test scratch directory under the system temp dir.
 class TempDir {
@@ -115,61 +113,7 @@ void expect_entries_identical(const core::CampaignEntry& a,
   EXPECT_EQ(a.mismatches_low_power, b.mismatches_low_power) << where;
 }
 
-// --- ShardPlan ---------------------------------------------------------------
-
-TEST(ShardPlan, EveryIndexOwnedExactlyOnce) {
-  for (const auto strategy :
-       {ShardStrategy::kContiguous, ShardStrategy::kStrided}) {
-    for (const std::size_t total : {1u, 7u, 12u, 100u}) {
-      for (const std::size_t shards : {1u, 3u, 5u, 12u, 17u}) {
-        const ShardPlan plan = ShardPlan::make(total, shards, strategy);
-        std::vector<int> seen(total, 0);
-        std::size_t sizes = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-          const auto indices = plan.indices_of(s);
-          EXPECT_EQ(indices.size(), plan.size_of(s));
-          sizes += indices.size();
-          for (const std::size_t i : indices) {
-            ASSERT_LT(i, total);
-            ++seen[i];
-            EXPECT_EQ(plan.owner_of(i), s)
-                << dist::to_slug(strategy) << " total " << total << " shard "
-                << s << " index " << i;
-          }
-        }
-        EXPECT_EQ(sizes, total);
-        for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(seen[i], 1);
-      }
-    }
-  }
-}
-
-TEST(ShardPlan, ContiguousRunsAreConsecutiveAndBalanced) {
-  const ShardPlan plan = ShardPlan::contiguous(10, 4);  // 3+3+2+2
-  EXPECT_EQ(plan.indices_of(0), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(plan.indices_of(1), (std::vector<std::size_t>{3, 4, 5}));
-  EXPECT_EQ(plan.indices_of(2), (std::vector<std::size_t>{6, 7}));
-  EXPECT_EQ(plan.indices_of(3), (std::vector<std::size_t>{8, 9}));
-}
-
-TEST(ShardPlan, StridedInterleaves) {
-  const ShardPlan plan = ShardPlan::strided(7, 3);
-  EXPECT_EQ(plan.indices_of(0), (std::vector<std::size_t>{0, 3, 6}));
-  EXPECT_EQ(plan.indices_of(1), (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(plan.indices_of(2), (std::vector<std::size_t>{2, 5}));
-}
-
-TEST(ShardPlan, JsonRoundTripAndValidation) {
-  const ShardPlan plan = ShardPlan::strided(99, 7);
-  const ShardPlan back = dist::shard_plan_from_json(
-      io::JsonValue::parse(dist::to_json(plan).dump()));
-  EXPECT_EQ(back, plan);
-  EXPECT_THROW(ShardPlan::make(5, 0, ShardStrategy::kContiguous), Error);
-  EXPECT_THROW(plan.owner_of(99), Error);
-  EXPECT_THROW(plan.indices_of(7), Error);
-}
-
-// --- job / shard spec round trips --------------------------------------------
+// --- job spec round trips --------------------------------------------------
 
 TEST(JobSpec, SweepJobRoundTripPreservesFingerprint) {
   const JobSpec job = small_sweep_job();
@@ -193,229 +137,174 @@ TEST(JobSpec, CampaignJobRoundTripPreservesFingerprint) {
   EXPECT_NE(other.fingerprint(), job.fingerprint());
 }
 
-TEST(ShardSpec, ValidatesShardAgainstPlan) {
-  const JobSpec job = small_sweep_job();
-  dist::ShardSpec spec{job, ShardPlan::contiguous(job.size(), 3), 3};
-  EXPECT_THROW(spec.validate(), Error);  // shard index == shard_count
-  spec.shard = 2;
-  spec.plan.total = 5;  // stale plan for a different job size
-  EXPECT_THROW(spec.validate(), Error);
+// --- per-kind execution and merge ------------------------------------------
+
+/// Execute @p indices of @p job and collect the result lines.
+std::vector<io::JsonValue> execute(const JobSpec& job,
+                                   const std::vector<std::size_t>& indices,
+                                   unsigned threads = 1) {
+  std::vector<io::JsonValue> lines;
+  EXPECT_TRUE(dist::execute_indices(job, indices, threads,
+                                    /*batched_campaigns=*/true,
+                                    [&](io::JsonValue line) {
+                                      lines.push_back(std::move(line));
+                                      return true;
+                                    }));
+  return lines;
 }
 
-// --- worker protocol ---------------------------------------------------------
-
-TEST(Worker, ShardStreamsParseBackAndMatchDirectExecution) {
+TEST(ExecuteIndices, SweepResultLinesEqualDirectExecution) {
   const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::strided(job.size(), 4);
   const auto reference = core::SweepRunner().run(job.grid);
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    std::ostringstream out;
-    dist::Worker().run(dist::ShardSpec{job, plan, s}, out);
-    std::istringstream in(out.str());
-    const dist::ShardResult result =
-        dist::parse_shard_results(in, job, plan, s);
-    EXPECT_TRUE(result.complete) << "shard " << s;
-    ASSERT_EQ(result.sweep.size(), plan.size_of(s));
-    for (const auto& point : result.sweep)
-      expect_points_identical(point, reference[point.index],
-                              "shard " + std::to_string(s));
+  const std::vector<std::size_t> indices = {7, 0, 11, 4};
+  const std::vector<io::JsonValue> lines = execute(job, indices);
+  ASSERT_EQ(lines.size(), indices.size());
+  dist::MergedResult merged = dist::empty_result(job);
+  for (std::size_t j = 0; j < lines.size(); ++j) {
+    EXPECT_EQ(lines[j].at("type").as_string(), "sweep_point");
+    EXPECT_EQ(dist::store_result(lines[j], merged), indices[j]);
+    expect_points_identical(merged.sweep[indices[j]], reference[indices[j]],
+                            "index " + std::to_string(indices[j]));
   }
 }
 
-TEST(Worker, TruncatedStreamReportsIncomplete) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 2);
-  std::ostringstream out;
-  dist::Worker().run(dist::ShardSpec{job, plan, 0}, out);
-  const std::string full = out.str();
-  // Chop the trailer (and half a point line) off: a killed worker's file.
-  const std::string truncated = full.substr(0, full.size() * 2 / 3);
-  std::istringstream in(truncated);
-  const dist::ShardResult result =
-      dist::parse_shard_results(in, job, plan, 0);
-  EXPECT_FALSE(result.complete);
-}
-
-TEST(Worker, StreamOfDifferentJobReportsIncomplete) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 2);
-  std::ostringstream out;
-  dist::Worker().run(dist::ShardSpec{job, plan, 0}, out);
-  JobSpec other = job;
-  other.grid.base.wordline_duty = 0.25;  // same size, different job
-  std::istringstream in(out.str());
-  EXPECT_FALSE(dist::parse_shard_results(in, other, plan, 0).complete);
-}
-
-// --- the acceptance anchor: sharded == single-process ------------------------
-
-TEST(Coordinator, SweepMergeBitIdenticalToSingleProcess) {
-  const JobSpec job = small_sweep_job();
-  const auto reference = core::SweepRunner().run(job.grid);
-  for (const auto strategy :
-       {ShardStrategy::kContiguous, ShardStrategy::kStrided}) {
-    // Shard counts around and past the point count; workers beyond shards.
-    for (const std::size_t shards : {1u, 5u, 16u}) {
-      TempDir dir("sweep_" + dist::to_slug(strategy) + "_" +
-                  std::to_string(shards));
-      dist::Coordinator::Options options;
-      options.shards = shards;
-      options.max_workers = 3;
-      options.strategy = strategy;
-      options.work_dir = dir.str();
-      const dist::MergedResult merged =
-          dist::Coordinator(options).run(job);
-      ASSERT_EQ(merged.sweep.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        expect_points_identical(merged.sweep[i], reference[i],
-                                dist::to_slug(strategy) + "/" +
-                                    std::to_string(shards) + " point " +
-                                    std::to_string(i));
-    }
-  }
-}
-
-TEST(Coordinator, CampaignMergeBitIdenticalToSingleProcess) {
+TEST(ExecuteIndices, CampaignResultLinesEqualDirectExecution) {
   const JobSpec job = small_campaign_job();
-  const auto reference = core::CampaignRunner().run(
-      job.config, *job.test, job.faults);
-  TempDir dir("campaign");
-  dist::Coordinator::Options options;
-  options.shards = 4;
-  options.max_workers = 4;
-  options.work_dir = dir.str();
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  ASSERT_EQ(merged.campaign.entries.size(), reference.entries.size());
+  const auto reference =
+      core::CampaignRunner().run(job.config, *job.test, job.faults);
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 1; i < job.size(); i += 3) indices.push_back(i);
+  const std::vector<io::JsonValue> lines = execute(job, indices, 2);
+  ASSERT_EQ(lines.size(), indices.size());
+  dist::MergedResult merged = dist::empty_result(job);
   EXPECT_EQ(merged.campaign.algorithm, reference.algorithm);
-  for (std::size_t i = 0; i < reference.entries.size(); ++i)
-    expect_entries_identical(merged.campaign.entries[i],
-                             reference.entries[i],
-                             "entry " + std::to_string(i));
-  EXPECT_EQ(merged.campaign.modes_agree(), reference.modes_agree());
-  EXPECT_EQ(merged.campaign.detected_functional(),
-            reference.detected_functional());
-}
-
-TEST(Coordinator, RetriesACrashedWorkerOnce) {
-  const JobSpec job = small_sweep_job();
-  const auto reference = core::SweepRunner().run(job.grid);
-  TempDir dir("retry");
-  dist::Coordinator::Options options;
-  options.shards = 3;
-  options.max_workers = 2;
-  options.work_dir = dir.str();
-  options.crash_first_attempt_of_shard = 1;  // first attempt dies silently
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  ASSERT_EQ(merged.sweep.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    expect_points_identical(merged.sweep[i], reference[i],
-                            "point " + std::to_string(i));
-  // With retries exhausted the same crash is a hard error.
-  TempDir dir2("retry_exhausted");
-  options.work_dir = dir2.str();
-  options.retries = 0;
-  EXPECT_THROW(dist::Coordinator(options).run(job), Error);
-}
-
-TEST(Coordinator, ResumesOverAKilledWorkersPartialFile) {
-  const JobSpec job = small_sweep_job();
-  const auto reference = core::SweepRunner().run(job.grid);
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 4);
-  TempDir dir("resume");
-
-  // Simulate a run killed mid-flight: shards 0 and 2 completed, shard 1's
-  // worker died mid-write (truncated file), shard 3 never started.
-  for (const std::size_t s : {std::size_t{0}, std::size_t{2}}) {
-    std::ofstream out(dist::shard_result_path(dir.str(), s));
-    dist::Worker().run(dist::ShardSpec{job, plan, s}, out);
+  for (std::size_t j = 0; j < lines.size(); ++j) {
+    EXPECT_EQ(lines[j].at("index").as_size(), indices[j]);
+    EXPECT_EQ(dist::store_result(lines[j], merged), indices[j]);
+    expect_entries_identical(merged.campaign.entries[indices[j]],
+                             reference.entries[indices[j]],
+                             "entry " + std::to_string(indices[j]));
   }
-  {
-    std::ostringstream full;
-    dist::Worker().run(dist::ShardSpec{job, plan, 1}, full);
-    std::ofstream out(dist::shard_result_path(dir.str(), 1));
-    out << full.str().substr(0, full.str().size() / 2);
-  }
-
-  dist::Coordinator::Options options;
-  options.shards = 4;
-  options.max_workers = 2;
-  options.work_dir = dir.str();
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    expect_points_identical(merged.sweep[i], reference[i],
-                            "point " + std::to_string(i));
 }
 
-TEST(Coordinator, ResumeSkipsCompleteShardsEntirely) {
+TEST(ExecuteIndices, EmitCanStopTheStream) {
   const JobSpec job = small_sweep_job();
-  TempDir dir("resume_skip");
-  dist::Coordinator::Options options;
-  options.shards = 4;
-  options.max_workers = 2;
-  options.work_dir = dir.str();
-  const dist::MergedResult first = dist::Coordinator(options).run(job);
+  std::size_t seen = 0;
+  EXPECT_FALSE(dist::execute_indices(
+      job, {0, 1, 2}, 1, true, [&](io::JsonValue) { return ++seen < 2; }));
+  EXPECT_EQ(seen, 2u);
+}
 
-  // Second run: every shard's file is already complete, so no subprocess
-  // may launch — force the point by making any launch fail outright.
-  options.worker_command = {"/nonexistent/worker/binary"};
-  const dist::MergedResult second = dist::Coordinator(options).run(job);
-  for (std::size_t i = 0; i < first.sweep.size(); ++i)
-    expect_points_identical(second.sweep[i], first.sweep[i],
-                            "point " + std::to_string(i));
+TEST(StoreResult, RefusesForeignKindsAndOutOfRangeIndices) {
+  const JobSpec sweep = small_sweep_job();
+  const JobSpec campaign = small_campaign_job();
+  const io::JsonValue sweep_line = execute(sweep, {9}).front();
+  io::JsonValue campaign_line = execute(campaign, {0}).front();
+  dist::MergedResult campaign_slots = dist::empty_result(campaign);
+  EXPECT_THROW(dist::store_result(sweep_line, campaign_slots), Error);
+  campaign_line.set("index", io::JsonValue::integer(campaign.size()));
+  EXPECT_THROW(dist::store_result(campaign_line, campaign_slots), Error);
+  // A sweep point outside a smaller grid is refused too.
+  JobSpec smaller = sweep;
+  smaller.grid.geometries.resize(1);  // 4 points
+  dist::MergedResult smaller_slots = dist::empty_result(smaller);
+  EXPECT_THROW(dist::store_result(sweep_line, smaller_slots), Error);
+}
 
-  // With resume off the same options must actually try (and fail).
-  options.resume = false;
-  EXPECT_THROW(dist::Coordinator(options).run(job), Error);
+// A cached point rebinds into any grid that contains it: the payload is
+// grid-neutral, and the rebound line equals the line direct execution
+// emits for that grid's slot.
+TEST(PointPayload, RebindsIntoAnotherGridAsItsDirectResultLine) {
+  const JobSpec big = small_sweep_job();
+  JobSpec single_point;
+  single_point.kind = JobSpec::Kind::kSweep;
+  single_point.grid.geometries = {big.grid.geometries[2]};
+  single_point.grid.backgrounds = {big.grid.backgrounds[1]};
+  single_point.grid.algorithms = {big.grid.algorithms[1]};
+  const std::size_t index = 11;  // (geometry 2, background 1, algorithm 1)
+  ASSERT_EQ(dist::point_fingerprint(big, index),
+            dist::point_fingerprint(single_point, 0));
+
+  dist::MergedResult merged = dist::empty_result(big);
+  dist::store_result(execute(big, {index}).front(), merged);
+  const std::string payload = dist::point_payload(merged, index);
+  dist::MergedResult rebound = dist::empty_result(single_point);
+  const io::JsonValue line =
+      dist::rebind_payload(single_point, 0, payload, rebound);
+  EXPECT_EQ(line.dump(), execute(single_point, {0}).front().dump());
+  expect_points_identical(rebound.sweep[0],
+                          core::SweepRunner().run(single_point.grid)[0],
+                          "rebound point");
+  EXPECT_THROW(dist::rebind_payload(single_point, 0, "{", rebound), Error);
+}
+
+// --- the acceptance anchor: service workers == single-process --------------
+
+/// The single-process reference document.
+std::string single_document(const JobSpec& job) {
+  return dist::merged_document(dist::run_single(job));
+}
+
+/// Submit @p job to a fresh service with @p workers worker threads.
+std::string service_document(const JobSpec& job, std::size_t points_per_shard,
+                             int workers = 3) {
+  dist::Service::Options options;
+  options.points_per_shard = points_per_shard;
+  dist::Service service(options);
+  service.start();
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w)
+    threads.emplace_back([address = service.address()] {
+      dist::ServiceWorker().run(address);
+    });
+  const std::string document =
+      dist::submit_job(service.address(), job, 10000).document;
+  service.request_stop();
+  service.wait();
+  for (std::thread& t : threads) t.join();
+  return document;
+}
+
+TEST(ServicePath, SweepByteIdenticalToSingleProcessAtAnyShardSize) {
+  const JobSpec job = small_sweep_job();
+  const std::string reference = single_document(job);
+  // Shard sizes around and past the point count.
+  for (const std::size_t points_per_shard : {1u, 5u, 16u})
+    EXPECT_EQ(service_document(job, points_per_shard), reference)
+        << points_per_shard << " points per shard";
+}
+
+TEST(ServicePath, CampaignByteIdenticalToSingleProcess) {
+  const JobSpec job = small_campaign_job();
+  EXPECT_EQ(service_document(job, 4, 4), single_document(job));
 }
 
 // Traced jobs cross the process boundary too: the TraceSummary must
-// survive the JSONL protocol bit-exactly, so a sharded traced run merges
-// identical to the single-process reference (the CI byte-diff covers the
-// full CLI path on top of this).
-TEST(Coordinator, TracedSweepMergeBitIdenticalToSingleProcess) {
+// survive the result lines bit-exactly (the CI byte-diff covers the full
+// CLI path on top of this).
+TEST(ServicePath, TracedSweepByteIdenticalToSingleProcess) {
   JobSpec job = small_sweep_job();
   job.grid.base.trace =
       power::TraceConfig{.window_cycles = 16, .keep_windows = true};
-  const auto reference = core::SweepRunner().run(job.grid);
-  TempDir dir("traced_sweep");
-  dist::Coordinator::Options options;
-  options.shards = 5;
-  options.max_workers = 3;
-  options.work_dir = dir.str();
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  ASSERT_EQ(merged.sweep.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const std::string where = "traced point " + std::to_string(i);
-    expect_points_identical(merged.sweep[i], reference[i], where);
-    // The serialized documents — traces included — must match byte for
-    // byte, which subsumes every double of the summary.
-    EXPECT_EQ(io::to_json(merged.sweep[i]).dump(),
-              io::to_json(reference[i]).dump())
-        << where;
-    ASSERT_TRUE(merged.sweep[i].prr.low_power.trace.has_value()) << where;
-    EXPECT_GT(merged.sweep[i].prr.low_power.trace->peak_window_energy_j, 0.0)
-        << where;
-  }
+  const std::string reference = single_document(job);
+  EXPECT_NE(reference.find("\"peak_window_energy_j\""), std::string::npos);
+  EXPECT_EQ(service_document(job, 5), reference);
 }
 
-TEST(MergeShardFiles, RefusesIncompleteAndForeignFiles) {
-  const JobSpec job = small_sweep_job();
-  const ShardPlan plan = ShardPlan::contiguous(job.size(), 2);
-  TempDir dir("merge_refuse");
-  {
-    std::ofstream out(dist::shard_result_path(dir.str(), 0));
-    dist::Worker().run(dist::ShardSpec{job, plan, 0}, out);
+// --- run_job -----------------------------------------------------------------
+
+TEST(RunJob, FailsWithANamedErrorWhenEveryWorkerExits) {
+  TempDir dir("all_workers_exit");
+  try {
+    dist::run_job(small_sweep_job(), dir.str(),
+                  {{"/bin/false"}, {"/bin/false"}});
+    FAIL() << "run_job returned with no worker alive";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "every worker exited before the job completed"),
+              std::string::npos)
+        << e.what();
   }
-  // Shard 1 missing entirely.
-  EXPECT_THROW(dist::merge_shard_files(job, plan, dir.str()), Error);
-  // Shard 1 present but written by a different job.
-  JobSpec other = job;
-  other.grid.base.wordline_duty = 0.25;
-  {
-    std::ofstream out(dist::shard_result_path(dir.str(), 1));
-    dist::Worker().run(dist::ShardSpec{other, plan, 1}, out);
-  }
-  EXPECT_THROW(dist::merge_shard_files(job, plan, dir.str()), Error);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// tools/sramlp_dist CLI error paths, driven through the real binary: every
-// operator mistake must exit with a clear one-line diagnostic (exit code
-// 1), never a crash, a stack trace or a silent success.  The binary path
-// arrives from CMake as SRAMLP_DIST_BIN; when the tools are not built the
-// suite skips.
+// tools/sramlp_dist driven through the real binary: `run` byte-identical
+// to `single` for every demo job kind and resuming from its work
+// directory, and the error paths — every operator mistake must exit with
+// a clear one-line diagnostic (exit code 1), never a crash, a stack trace
+// or a silent success.  The binary path arrives from CMake as
+// SRAMLP_DIST_BIN; when the tools are not built the suite skips.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -61,6 +62,13 @@ class DistCli : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  std::string read_file(const std::string& name) const {
+    std::ifstream in(dir_ / name);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }
+
   void write_file(const std::string& name, const std::string& content) const {
     std::ofstream out(dir_ / name);
     out << content;
@@ -80,10 +88,10 @@ class DistCli : public ::testing::Test {
 TEST_F(DistCli, MalformedJobJsonFailsWithParseDiagnostic) {
   write_file("bad.json", "{ \"kind\": \"sweep\", ");
   const CliResult r =
-      run_cli("plan --job " + path("bad.json") + " --shards 2 --dir " +
-              path("work"));
+      run_cli("run --job " + path("bad.json") + " --workers 2 --dir " +
+              path("work") + " --out " + path("out.json"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("sramlp_dist plan failed"), std::string::npos)
+  EXPECT_NE(r.output.find("sramlp_dist run failed"), std::string::npos)
       << r.output;
   // The diagnostic names the JSON problem, not just "failed".
   EXPECT_NE(r.output.find("JSON"), std::string::npos) << r.output;
@@ -96,44 +104,117 @@ TEST_F(DistCli, UnreadableJobFileFailsCleanly) {
   EXPECT_NE(r.output.find("cannot open"), std::string::npos) << r.output;
 }
 
-TEST_F(DistCli, MergeWithMissingResultFileNamesTheFile) {
-  emit_example_job("job.json");
-  fs::create_directories(dir_ / "empty_work");
-  const CliResult r =
-      run_cli("merge --job " + path("job.json") + " --shards 3 --dir " +
-              path("empty_work") + " --out " + path("merged.json"));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("cannot open shard result file"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("shard_0000.jsonl"), std::string::npos) << r.output;
+// `run` against `single`, byte for byte, for every demo job kind; then a
+// rerun over the same work directory must answer every point from the
+// spill file it left behind, byte-identical again.
+TEST_F(DistCli, RunMatchesSingleAndResumesWholeFromItsDir) {
+  for (const std::string flags : {"", "--campaign", "--search", "--trace"}) {
+    const std::string tag = flags.empty() ? "sweep" : flags.substr(2);
+    emit_example_job(tag + ".json", flags);
+    const std::string job = path(tag + ".json");
+    const std::string work = path(tag + "_work");
+    const CliResult single =
+        run_cli("single --job " + job + " --out " + path(tag + "_single.json"));
+    ASSERT_EQ(single.exit_code, 0) << single.output;
+    const std::string reference = read_file(tag + "_single.json");
+
+    const CliResult cold = run_cli("run --job " + job + " --workers 3 --dir " +
+                                   work + " --out " + path(tag + "_run.json") +
+                                   " --log-level warn");
+    ASSERT_EQ(cold.exit_code, 0) << tag << ": " << cold.output;
+    EXPECT_EQ(read_file(tag + "_run.json"), reference) << tag;
+    EXPECT_NE(cold.output.find(" 0 from cache"), std::string::npos)
+        << tag << ": " << cold.output;
+
+    const CliResult warm =
+        run_cli("run --job " + job + " --workers 2 --dir " + work +
+                " --out " + path(tag + "_rerun.json") + " --log-level warn");
+    ASSERT_EQ(warm.exit_code, 0) << tag << ": " << warm.output;
+    EXPECT_EQ(read_file(tag + "_rerun.json"), reference) << tag;
+    EXPECT_NE(warm.output.find(": 0 computed"), std::string::npos)
+        << tag << ": " << warm.output;
+    EXPECT_NE(warm.output.find("whole-job HIT"), std::string::npos)
+        << tag << ": " << warm.output;
+  }
 }
 
-TEST_F(DistCli, MergeRefusesForeignFingerprintResults) {
-  // Produce complete result files for the SWEEP job...
+// A work directory holding another job's results never leaks them into
+// this job's document: cache keys are fingerprints of what was computed.
+TEST_F(DistCli, RunOverAnotherJobsDirStillMatchesSingle) {
   emit_example_job("sweep.json");
-  const CliResult run = run_cli(
-      "run --job " + path("sweep.json") + " --shards 3 --workers 2 --dir " +
-      path("work") + " --out " + path("merged.json"));
-  ASSERT_EQ(run.exit_code, 0) << run.output;
-  // ...then try to merge them as the CAMPAIGN job: the fingerprint in
-  // every result header belongs to a different job and must be refused.
+  const CliResult sweep =
+      run_cli("run --job " + path("sweep.json") + " --workers 2 --dir " +
+              path("work") + " --out " + path("sweep_run.json"));
+  ASSERT_EQ(sweep.exit_code, 0) << sweep.output;
   emit_example_job("campaign.json", "--campaign");
-  const CliResult r = run_cli("merge --job " + path("campaign.json") +
-                              " --shards 3 --dir " + path("work") +
-                              " --out " + path("bad_merge.json"));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("belongs to a different job"), std::string::npos)
-      << r.output;
-  EXPECT_FALSE(fs::exists(dir_ / "bad_merge.json"));
+  const CliResult campaign =
+      run_cli("run --job " + path("campaign.json") + " --workers 2 --dir " +
+              path("work") + " --out " + path("campaign_run.json"));
+  ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
+  const CliResult single = run_cli("single --job " + path("campaign.json") +
+                                   " --out " + path("campaign_single.json"));
+  ASSERT_EQ(single.exit_code, 0) << single.output;
+  EXPECT_EQ(read_file("campaign_run.json"), read_file("campaign_single.json"));
 }
 
 TEST_F(DistCli, MissingRequiredOptionIsNamed) {
-  const CliResult r = run_cli("plan --shards 2 --dir " + path("work"));
+  const CliResult r = run_cli("run --workers 2 --dir " + path("work") +
+                              " --out " + path("out.json"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("missing required option --job"),
             std::string::npos)
       << r.output;
+}
+
+TEST_F(DistCli, RunRejectsZeroWorkersAndRetiredShardOptions) {
+  emit_example_job("job.json");
+  const std::string base = "run --job " + path("job.json") + " --dir " +
+                           path("work") + " --out " + path("out.json");
+  const CliResult zero = run_cli(base + " --workers 0");
+  EXPECT_EQ(zero.exit_code, 1) << zero.output;
+  EXPECT_NE(zero.output.find("run needs at least one worker"),
+            std::string::npos)
+      << zero.output;
+  const CliResult shards = run_cli(base + " --workers 2 --shards 4");
+  EXPECT_EQ(shards.exit_code, 1) << shards.output;
+  EXPECT_NE(shards.output.find("unrecognized argument '--shards'"),
+            std::string::npos)
+      << shards.output;
+  EXPECT_FALSE(fs::exists(dir_ / "out.json"));
+}
+
+TEST_F(DistCli, RetiredShardFileSubcommandsAreUnknown) {
+  for (const char* subcommand : {"plan", "worker", "merge"}) {
+    const CliResult r = run_cli(subcommand);
+    EXPECT_EQ(r.exit_code, 2) << subcommand << ": " << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
+}
+
+// Count flags: a value past 64 bits is named (not a bare "stoull"), and
+// a thread count past 32 bits is refused instead of wrapping to 1.
+TEST_F(DistCli, OversizedCountFlagsAreNamedErrors) {
+  const CliResult workers =
+      run_cli("serve --listen tcp:0 --workers 99999999999999999999999");
+  EXPECT_EQ(workers.exit_code, 1) << workers.output;
+  EXPECT_NE(workers.output.find("option --workers needs a non-negative "
+                                "integer"),
+            std::string::npos)
+      << workers.output;
+  EXPECT_EQ(workers.output.find("error=stoull"), std::string::npos)
+      << workers.output;
+
+  emit_example_job("job.json");
+  const CliResult threads =
+      run_cli("run --job " + path("job.json") + " --workers 1 --dir " +
+              path("work") + " --out " + path("out.json") +
+              " --threads 4294967297");
+  EXPECT_EQ(threads.exit_code, 1) << threads.output;
+  EXPECT_NE(threads.output.find("option --threads needs a non-negative "
+                                "integer"),
+            std::string::npos)
+      << threads.output;
+  EXPECT_FALSE(fs::exists(dir_ / "out.json"));
 }
 
 TEST_F(DistCli, UnknownArgumentIsRejected) {

@@ -10,17 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/session.h"
-#include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/service.h"
-#include "dist/shard.h"
-#include "dist/worker.h"
 #include "engine/analytic_backend.h"
 #include "march/algorithms.h"
 #include "search/evaluator.h"
@@ -84,18 +80,15 @@ struct LevelGuard {
 
 /// The canonical merged document of a single-process run — every
 /// distributed path's byte-diff target.
-std::string single_document(const SearchSpec& spec, unsigned threads = 1) {
-  dist::MergedResult merged;
-  merged.kind = dist::JobSpec::Kind::kSearch;
-  merged.search = search::run_search(spec, threads).restarts;
-  return dist::merged_document(merged);
-}
-
 dist::JobSpec search_job(const SearchSpec& spec) {
   dist::JobSpec job;
   job.kind = dist::JobSpec::Kind::kSearch;
   job.search = spec;
   return job;
+}
+
+std::string single_document(const SearchSpec& spec, unsigned threads = 1) {
+  return dist::merged_document(dist::run_single(search_job(spec), threads));
 }
 
 // --- evaluator vs the traced analytic engine ---------------------------------
@@ -378,24 +371,25 @@ TEST(SearchBudget, BeatsNaiveIdlePaddingAtTheSameBudget) {
   EXPECT_LE(best->cycles, static_cast<std::uint64_t>(naive.score.cycles));
 }
 
-// --- dist: shards and the service --------------------------------------------
+// --- dist: worker lines and the service -------------------------------------
 
-TEST(SearchDist, ShardedWorkersMergeByteIdenticalToSingleProcess) {
+TEST(SearchDist, WorkerLinesMergeByteIdenticalToSingleProcess) {
   const SearchSpec spec = small_spec();
   const dist::JobSpec job = search_job(spec);
   const std::string reference = single_document(spec);
 
-  const dist::ShardPlan plan =
-      dist::ShardPlan::make(job.size(), 2, dist::ShardStrategy::kStrided);
-  std::vector<dist::ShardResult> results;
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    std::stringstream stream;
-    dist::Worker().run(dist::ShardSpec{job, plan, s}, stream);
-    results.push_back(dist::parse_shard_results(stream, job, plan, s));
-    ASSERT_TRUE(results.back().complete);
-  }
-  const dist::MergedResult merged =
-      dist::merge_shard_results(job, plan, results);
+  // Two workers' worth of restarts, interleaved, one serial and one
+  // fanned out: the merged slots must reproduce the reference bytes.
+  dist::MergedResult merged = dist::empty_result(job);
+  const std::vector<std::vector<std::size_t>> subsets = {{0, 2}, {1}};
+  for (std::size_t s = 0; s < subsets.size(); ++s)
+    ASSERT_TRUE(dist::execute_indices(
+        job, subsets[s], /*threads=*/static_cast<unsigned>(s + 1), true,
+        [&](io::JsonValue line) {
+          EXPECT_EQ(line.at("type").as_string(), "search_restart");
+          dist::store_result(line, merged);
+          return true;
+        }));
   EXPECT_EQ(dist::merged_document(merged), reference);
 }
 

@@ -2,13 +2,15 @@
 // and fault-tolerance invariants, the two-tier result cache (LRU + spill,
 // including torn-tail recovery), the framed socket transport, canonical
 // per-point fingerprints, and the acceptance anchor — a service-computed
-// job is byte-identical to `sramlp_dist single` on the same job, and a
+// job is byte-identical to `sramlp_dist single` on the same job, a
 // resubmitted job is answered from the cache without executing a shard,
-// byte-identical again.
+// byte-identical again, and a restart over the spill of a killed run
+// computes only the points that run never delivered.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -18,7 +20,6 @@
 
 #include "core/fault_campaign.h"
 #include "core/sweep.h"
-#include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/result_cache.h"
 #include "dist/service.h"
@@ -74,19 +75,7 @@ JobSpec small_campaign_job() {
 
 /// The byte-level ground truth: the single-process merged document.
 std::string single_document(const JobSpec& job) {
-  dist::MergedResult merged;
-  merged.kind = job.kind;
-  if (job.kind == JobSpec::Kind::kSweep) {
-    merged.sweep = core::SweepRunner().run(job.grid);
-  } else {
-    core::CampaignRunner::Options options;
-    options.batched = true;
-    core::CampaignReport report =
-        core::CampaignRunner(options).run(job.config, *job.test, job.faults);
-    merged.campaign.algorithm = report.algorithm;
-    merged.campaign.entries = std::move(report.entries);
-  }
-  return dist::merged_document(merged);
+  return dist::merged_document(dist::run_single(job));
 }
 
 std::string read_file(const std::string& path) {
@@ -279,7 +268,7 @@ TEST(Framing, GarbledFrameReadsAsEndOfStream) {
     (void)::send(conn.fd(), raw, sizeof raw - 1, 0);
   });
   io::LineChannel client(io::connect_socket(address, 2000));
-  EXPECT_FALSE(client.receive().has_value());  // shard-file rule: EOF
+  EXPECT_FALSE(client.receive().has_value());  // torn frame reads as EOF
   server.join();
   listener.shutdown();
 }
@@ -451,6 +440,43 @@ TEST(Service, SpillFileAnswersAcrossDaemonRestartsWithNoWorkers) {
       dist::submit_job(harness.address(), job, 5000);
   EXPECT_TRUE(result.cache_hit);
   EXPECT_EQ(result.document, reference);
+  EXPECT_EQ(result.document, single_document(job));
+}
+
+// Resume: points are spilled as they are delivered, so a daemon that dies
+// mid-job leaves its finished points behind.  The only worker streams 5
+// of 12 points and vanishes; the daemon is then stopped with the job
+// unfinished.  A new daemon over the same spill computes the other 7.
+TEST(Service, RestartOverSpillComputesOnlyUndeliveredPoints) {
+  TempDir dir("resume");
+  const std::string spill = dir.str() + "/results.jsonl";
+  const JobSpec job = small_sweep_job();
+  constexpr std::size_t kDelivered = 5;
+  {
+    dist::Service::Options options;
+    options.points_per_shard = 2;
+    options.cache.spill_path = spill;
+    dist::ServiceWorker::Options dying;
+    dying.die_after_points = kDelivered;
+    ServiceHarness harness(options, /*workers=*/1, dying);
+    std::thread submitter([&] {
+      EXPECT_THROW(dist::submit_job(harness.address(), job, 5000), Error);
+    });
+    while (harness.service().stats().workers_lost == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(harness.service().stats().points_executed, kDelivered);
+    harness.service().request_stop();
+    submitter.join();
+  }
+  dist::Service::Options options;
+  options.cache.spill_path = spill;
+  ServiceHarness harness(options, /*workers=*/2);
+  const dist::SubmitResult result =
+      dist::submit_job(harness.address(), job, 5000);
+  EXPECT_FALSE(result.cache_hit);
+  EXPECT_EQ(result.cached_points, kDelivered);
+  EXPECT_EQ(harness.service().stats().points_executed,
+            job.size() - kDelivered);
   EXPECT_EQ(result.document, single_document(job));
 }
 

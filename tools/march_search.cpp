@@ -17,7 +17,7 @@
 // The emitted document is exactly `sramlp_dist single` on the equivalent
 // search job: {"kind":"search","restarts":[...],"front":[...]} with
 // exact-round-trip doubles, so fronts can be diffed byte for byte across
-// hosts, thread counts and shard splits.
+// hosts, thread counts and worker splits.
 //
 // The human summary compares the searched front against the naive
 // alternative at the same budget — keeping the base order and padding
@@ -27,12 +27,12 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/service.h"
 #include "io/serialize.h"
@@ -115,13 +115,25 @@ class Args {
     return std::nullopt;
   }
 
-  std::size_t number(const std::string& name, std::size_t fallback) {
+  /// A plain decimal count no larger than @p max (overflow is named, not
+  /// wrapped or reported as a bare "stoull").
+  std::size_t number(
+      const std::string& name, std::size_t fallback,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) {
     auto v = value(name);
     if (!v) return fallback;
-    if (v->empty() || v->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("option " + name + " needs a non-negative integer, got '" +
-                  *v + "'");
-    return static_cast<std::size_t>(std::stoull(*v));
+    std::size_t parsed = 0;
+    bool fits = !v->empty() &&
+                v->find_first_not_of("0123456789") == std::string::npos;
+    for (std::size_t i = 0; fits && i < v->size(); ++i) {
+      const auto digit = static_cast<std::size_t>((*v)[i] - '0');
+      fits = parsed <= (max - digit) / 10;
+      parsed = parsed * 10 + digit;
+    }
+    if (!fits)
+      throw Error("option " + name + " needs a non-negative integer up to " +
+                  std::to_string(max) + ", got '" + *v + "'");
+    return parsed;
   }
 
   double real(const std::string& name, double fallback) {
@@ -242,7 +254,8 @@ std::vector<search::ScheduleResult> front_of_document(
 int run(Args& args) {
   search::SearchSpec spec = spec_from_args(args);
   const double budget_scale = args.real("--budget-scale", 0.0);
-  const std::size_t threads = args.number("--threads", 0);
+  const auto threads = static_cast<unsigned>(
+      args.number("--threads", 0, std::numeric_limits<unsigned>::max()));
   const std::optional<std::string> connect = args.value("--connect");
   const std::string submitter = args.value("--submitter").value_or("");
   const std::optional<std::string> out_path = args.value("--out");
@@ -259,11 +272,11 @@ int run(Args& args) {
       evaluator.score_one(search::identity_candidate(evaluator.elements()));
   if (budget_scale > 0.0) spec.peak_budget_w = budget_scale * base.peak_power_w;
 
+  dist::JobSpec job;
+  job.kind = dist::JobSpec::Kind::kSearch;
+  job.search = spec;
   std::string document;
   if (connect) {
-    dist::JobSpec job;
-    job.kind = dist::JobSpec::Kind::kSearch;
-    job.search = spec;
     const dist::SubmitResult result =
         dist::submit_job(*connect, job, 5000, {}, submitter);
     document = result.document;
@@ -273,12 +286,7 @@ int run(Args& args) {
                   connect->c_str(), result.total_points, result.cached_points,
                   result.cache_hit ? "HIT" : "miss");
   } else {
-    const search::SearchOutcome outcome =
-        search::run_search(spec, static_cast<unsigned>(threads));
-    dist::MergedResult merged;
-    merged.kind = dist::JobSpec::Kind::kSearch;
-    merged.search = outcome.restarts;
-    document = dist::merged_document(merged);
+    document = dist::merged_document(dist::run_single(job, threads));
   }
   if (out_path) write_file(*out_path, document);
 

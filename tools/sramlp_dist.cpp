@@ -1,29 +1,24 @@
-// sramlp_dist — the distributed sweep/campaign CLI.
+// sramlp_dist — the distributed sweep/campaign/search CLI.
 //
-// One binary, four roles (plus helpers), so a multi-host run needs nothing
-// but this executable and scp:
+// One binary for every role, and one execution path underneath: the
+// sweep service (dist/service.h), whose workers steal small shards and
+// whose result cache answers repeated points.
 //
-//   example-job [--campaign]            emit a small demo job spec (stdout)
-//   plan   --job J --shards K --dir D   write per-shard spec files
-//   worker --spec S --out R             execute ONE shard, stream JSONL
-//   run    --job J --shards K --workers N --dir D --out M
-//                                       full local orchestration: spawns N
-//                                       `sramlp_dist worker` subprocesses of
-//                                       this very binary, retries crashes,
-//                                       resumes complete shards, merges
-//   merge  --job J --shards K --dir D --out M
-//                                       merge shard JSONL files (e.g. copied
-//                                       back from remote workers)
+//   example-job [--campaign|--search] [--trace]
+//                                       emit a small demo job spec (stdout)
+//   run    --job J --workers N --dir D --out M [--threads T]
+//                                       one job on an ephemeral service:
+//                                       spawns N `sramlp_dist work`
+//                                       subprocesses of this very binary,
+//                                       keeps its result cache in D (a
+//                                       rerun resumes from it) and writes
+//                                       the merged document
 //   single --job J --out M              single-process reference run emitting
 //                                       the identical merged document (CI
 //                                       diffs `run` against this, byte for
 //                                       byte)
 //
-// Multi-host recipe: `plan` here, scp one spec file per host, `worker`
-// there, scp the JSONL back, `merge` here.  The merged document is
-// bit-identical to `single` whatever the shard/worker/host split.
-//
-// Service mode (the long-running path — see dist/service.h):
+// Service mode (the long-running path):
 //
 //   serve    --listen A --workers N       coordinator daemon: accepts jobs
 //                                         over a Unix/TCP socket, workers
@@ -39,27 +34,30 @@
 //            [--watch [--interval MS]]    a live dashboard with rates
 //   shutdown --connect A                  stop the daemon
 //
+// Multi-host recipe: `serve --listen tcp:0.0.0.0:PORT` here, `work
+// --connect tcp:HOST:PORT` on every other host, `submit` from anywhere.
+// The merged document is bit-identical to `single` whatever the
+// worker/host split.
+//
 // Observability (every subcommand): --log-level trace|debug|info|warn|
 // error|off, --log-format human|jsonl, --log-file PATH (default stderr;
 // SRAMLP_LOG sets the level too).  `serve`/`work` accept --trace-out F
 // to dump a Chrome trace-event JSON of job/shard/lease/execute spans.
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/sweep.h"
 #include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/service.h"
-#include "dist/worker.h"
 #include "io/serialize.h"
 #include "march/algorithms.h"
 #include "obs/clock.h"
@@ -78,12 +76,7 @@ using namespace sramlp;
       "usage: %s <subcommand> [options]\n"
       "\n"
       "  example-job [--campaign|--search] [--trace]      demo job spec -> stdout\n"
-      "  plan   --job J --shards K --dir D [--strategy contiguous|strided]\n"
-      "  worker --spec S --out R [--threads N] [--per-fault]\n"
-      "  run    --job J --shards K --workers N --dir D --out M\n"
-      "         [--strategy ...] [--threads N] [--no-resume] [--fork]\n"
-      "         [--retries R]\n"
-      "  merge  --job J --shards K --dir D --out M [--strategy ...]\n"
+      "  run    --job J --workers N --dir D --out M [--threads N]\n"
       "  single --job J --out M\n"
       "  serve  [--listen unix:/path|tcp:port] [--workers N] [--threads N]\n"
       "         [--points-per-shard P] [--cache-capacity C] [--spill F]\n"
@@ -138,16 +131,32 @@ class Args {
     return *v;
   }
 
-  std::size_t number(const std::string& name, std::size_t fallback) {
+  /// A plain decimal count no larger than @p max.  std::stoull accepts
+  /// (and wraps) negative input and throws a bare "stoull" on overflow,
+  /// so the digits are checked here and every failure names the option.
+  std::size_t number(
+      const std::string& name, std::size_t fallback,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) {
     auto v = value(name);
     if (!v) return fallback;
-    // std::stoull accepts (and wraps) negative input; reject anything that
-    // is not a plain decimal count.
-    if (v->empty() ||
-        v->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("option " + name + " needs a non-negative integer, got '" +
-                  *v + "'");
-    return static_cast<std::size_t>(std::stoull(*v));
+    std::size_t parsed = 0;
+    bool fits = !v->empty() &&
+                v->find_first_not_of("0123456789") == std::string::npos;
+    for (std::size_t i = 0; fits && i < v->size(); ++i) {
+      const auto digit = static_cast<std::size_t>((*v)[i] - '0');
+      fits = parsed <= (max - digit) / 10;
+      parsed = parsed * 10 + digit;
+    }
+    if (!fits)
+      throw Error("option " + name + " needs a non-negative integer up to " +
+                  std::to_string(max) + ", got '" + *v + "'");
+    return parsed;
+  }
+
+  /// A count that ends up in an `unsigned` (thread counts).
+  unsigned small_number(const std::string& name, unsigned fallback) {
+    return static_cast<unsigned>(
+        number(name, fallback, std::numeric_limits<unsigned>::max()));
   }
 
   void reject_leftovers() const {
@@ -179,8 +188,8 @@ dist::JobSpec load_job(const std::string& path) {
 
 /// Observability flags shared by every subcommand.  Consumed before
 /// dispatch so reject_leftovers() never sees them.  A --log-level is also
-/// exported as SRAMLP_LOG, so subprocesses this command spawns (serve's
-/// local workers, run's shard workers) inherit the level.
+/// exported as SRAMLP_LOG, so the workers this command spawns (serve's
+/// and run's) inherit the level.
 void apply_logging_flags(Args& args) {
   const std::optional<std::string> level_text = args.value("--log-level");
   const std::optional<std::string> format_text = args.value("--log-format");
@@ -209,13 +218,7 @@ void apply_logging_flags(Args& args) {
   if (level_text) ::setenv("SRAMLP_LOG", level_text->c_str(), 1);
 }
 
-dist::ShardStrategy strategy_arg(Args& args) {
-  auto v = args.value("--strategy");
-  return v ? dist::shard_strategy_from_slug(*v)
-           : dist::ShardStrategy::kContiguous;
-}
-
-/// Absolute path of this binary, for spawning `worker` subprocesses.
+/// Absolute path of this binary, for spawning `work` subprocesses.
 std::string self_path(const char* argv0) {
   char buf[4096];
   const ssize_t n = readlink("/proc/self/exe", buf, sizeof buf - 1);
@@ -230,8 +233,8 @@ int cmd_example_job(Args& args) {
   const bool campaign = args.flag("--campaign");
   const bool search_job = args.flag("--search");
   // --trace: time-resolved power accounting on every run of the sweep
-  // job; the sharded merge stays byte-identical to `single` (CI diffs
-  // it).  Campaign reports reduce to per-fault verdicts, which carry no
+  // job; the distributed document stays byte-identical to `single` (CI
+  // diffs it).  Campaign reports reduce to per-fault verdicts, which carry no
   // trace — combining the flags would buy the traced-run cost for no
   // output, so it is an error rather than a silent no-op.
   const bool trace = args.flag("--trace");
@@ -282,92 +285,29 @@ int cmd_example_job(Args& args) {
   return 0;
 }
 
-int cmd_plan(Args& args) {
-  const dist::JobSpec job = load_job(args.require("--job"));
-  const std::string dir = args.require("--dir");
-  const std::size_t shards = args.number("--shards", 4);
-  const dist::ShardStrategy strategy = strategy_arg(args);
-  args.reject_leftovers();
-  const dist::ShardPlan plan = dist::ShardPlan::make(job.size(), shards,
-                                                     strategy);
-  for (std::size_t s = 0; s < plan.shard_count; ++s)
-    dist::write_shard_spec(dir, dist::ShardSpec{job, plan, s});
-  std::printf("%zu work items -> %zu %s shard spec files in %s\n",
-              plan.total, plan.shard_count, to_slug(strategy).c_str(),
-              dir.c_str());
-  std::printf("next: sramlp_dist worker --spec %s --out %s   (per shard,\n"
-              "any host), then merge the result files back here\n",
-              dist::shard_spec_path(dir, 0).c_str(),
-              dist::shard_result_path(dir, 0).c_str());
-  return 0;
-}
-
-int cmd_worker(Args& args) {
-  const std::string spec_path = args.require("--spec");
-  const std::string out_path = args.require("--out");
-  dist::Worker::Options options;
-  options.threads =
-      static_cast<unsigned>(args.number("--threads", options.threads));
-  if (args.flag("--per-fault")) options.batched_campaigns = false;
-  args.reject_leftovers();
-  const dist::ShardSpec spec =
-      dist::shard_spec_from_json(io::JsonValue::parse(read_file(spec_path)));
-  std::ofstream out(out_path, std::ios::out | std::ios::trunc);
-  if (!out.good()) throw Error("cannot write " + out_path);
-  dist::Worker(options).run(spec, out);
-  out.close();
-  if (!out.good()) throw Error("short write on " + out_path);
-  return 0;
+/// `sramlp_dist work` on this very binary, once per local worker; the
+/// spawner appends `--connect ADDRESS`.
+std::vector<std::vector<std::string>> work_commands(
+    const char* argv0, std::size_t workers, unsigned threads) {
+  return std::vector<std::vector<std::string>>(
+      workers,
+      {self_path(argv0), "work", "--threads", std::to_string(threads)});
 }
 
 int cmd_run(Args& args, const char* argv0) {
-  const std::string job_path = args.require("--job");
-  const dist::JobSpec job = load_job(job_path);
-  dist::Coordinator::Options options;
-  options.shards = args.number("--shards", 4);
-  options.max_workers =
-      static_cast<unsigned>(args.number("--workers", options.max_workers));
-  options.strategy = strategy_arg(args);
-  options.work_dir = args.require("--dir");
-  options.worker.threads =
-      static_cast<unsigned>(args.number("--threads", options.worker.threads));
-  options.retries = static_cast<unsigned>(args.number("--retries", 1));
-  if (args.flag("--no-resume")) options.resume = false;
-  const bool fork_mode = args.flag("--fork");
-  const std::string out_path = args.require("--out");
-  args.reject_leftovers();
-  if (!fork_mode) {
-    // The real protocol: subprocesses of this very binary via fork/exec.
-    // Per-shard options (threads) travel on the worker's own command line.
-    options.worker_command = {self_path(argv0),
-                              "worker",
-                              "--spec",
-                              "{spec}",
-                              "--out",
-                              "{out}",
-                              "--threads",
-                              std::to_string(options.worker.threads)};
-  }
-  const dist::MergedResult merged = dist::Coordinator(options).run(job);
-  write_file(out_path, merged_document(merged));
-  std::printf("%zu work items over %zu shards / %u workers -> %s\n",
-              job.size(), options.shards, options.max_workers,
-              out_path.c_str());
-  return 0;
-}
-
-int cmd_merge(Args& args) {
   const dist::JobSpec job = load_job(args.require("--job"));
+  const std::size_t workers = args.number("--workers", 2);
   const std::string dir = args.require("--dir");
-  const std::size_t shards = args.number("--shards", 4);
-  const dist::ShardStrategy strategy = strategy_arg(args);
+  const unsigned threads = args.small_number("--threads", 1);
   const std::string out_path = args.require("--out");
   args.reject_leftovers();
-  const dist::ShardPlan plan = dist::ShardPlan::make(job.size(), shards,
-                                                     strategy);
-  const dist::MergedResult merged = dist::merge_shard_files(job, plan, dir);
-  write_file(out_path, merged_document(merged));
-  std::printf("merged %zu shards -> %s\n", plan.shard_count,
+  const dist::SubmitResult result =
+      dist::run_job(job, dir, work_commands(argv0, workers, threads));
+  write_file(out_path, result.document);
+  std::printf("%zu work items: %zu computed, %zu from cache (%s) -> %s\n",
+              result.total_points, result.total_points - result.cached_points,
+              result.cached_points,
+              result.cache_hit ? "whole-job HIT" : "whole-job miss",
               out_path.c_str());
   return 0;
 }
@@ -376,24 +316,7 @@ int cmd_single(Args& args) {
   const dist::JobSpec job = load_job(args.require("--job"));
   const std::string out_path = args.require("--out");
   args.reject_leftovers();
-  dist::MergedResult merged;
-  merged.kind = job.kind;
-  if (job.kind == dist::JobSpec::Kind::kSweep) {
-    merged.sweep = core::SweepRunner().run(job.grid);
-  } else if (job.kind == dist::JobSpec::Kind::kSearch) {
-    // run_search is byte-identical at any thread count (one result slot
-    // per restart, restart-order reduction), so the hardware default is
-    // safe for a reference document.
-    merged.search = search::run_search(*job.search).restarts;
-  } else {
-    core::CampaignRunner::Options options;
-    options.batched = true;
-    core::CampaignReport report =
-        core::CampaignRunner(options).run(job.config, *job.test, job.faults);
-    merged.campaign.algorithm = report.algorithm;
-    merged.campaign.entries = std::move(report.entries);
-  }
-  write_file(out_path, merged_document(merged));
+  write_file(out_path, dist::merged_document(dist::run_single(job)));
   std::printf("single-process reference -> %s\n", out_path.c_str());
   return 0;
 }
@@ -408,7 +331,7 @@ int cmd_serve(Args& args, const char* argv0) {
   if (auto spill = args.value("--spill")) options.cache.spill_path = *spill;
   if (args.flag("--no-point-cache")) options.point_cache = false;
   const std::size_t workers = args.number("--workers", 2);
-  const std::size_t threads = args.number("--threads", 1);
+  const unsigned threads = args.small_number("--threads", 1);
   const std::size_t slow_us = args.number("--slow-us", 0);
   const std::optional<std::string> trace_out = args.value("--trace-out");
   args.reject_leftovers();
@@ -423,40 +346,24 @@ int cmd_serve(Args& args, const char* argv0) {
 
   // Local capacity: N `work` subprocesses of this very binary on the
   // resolved address.  Remote hosts add more with `sramlp_dist work`.
-  const std::string self = self_path(argv0);
-  std::vector<pid_t> children;
+  std::vector<std::vector<std::string>> commands =
+      work_commands(argv0, workers, threads);
   for (std::size_t w = 0; w < workers; ++w) {
-    std::vector<std::string> command = {self,        "work",
-                                        "--connect", address,
-                                        "--threads", std::to_string(threads)};
     if (slow_us > 0) {
-      command.push_back("--slow-us");
-      command.push_back(std::to_string(slow_us));
+      commands[w].push_back("--slow-us");
+      commands[w].push_back(std::to_string(slow_us));
     }
     if (trace_out) {
       // Workers are separate processes with their own tracer rings; each
       // dumps to a per-worker sibling of the service's trace file.
-      command.push_back("--trace-out");
-      command.push_back(*trace_out + ".worker-" + std::to_string(w));
+      commands[w].push_back("--trace-out");
+      commands[w].push_back(*trace_out + ".worker-" + std::to_string(w));
     }
-    const pid_t pid = fork();
-    SRAMLP_REQUIRE(pid >= 0, "fork failed");
-    if (pid == 0) {
-      std::vector<char*> argv_vec;
-      argv_vec.reserve(command.size() + 1);
-      for (std::string& arg : command) argv_vec.push_back(arg.data());
-      argv_vec.push_back(nullptr);
-      execv(argv_vec[0], argv_vec.data());
-      _exit(127);
-    }
-    children.push_back(pid);
   }
+  dist::LocalWorkers children(commands, address);
 
   service.wait();  // until a `shutdown` request arrives
-  for (const pid_t pid : children) {
-    int status = 0;
-    waitpid(pid, &status, 0);
-  }
+  children.wait();
   if (trace_out) {
     obs::Tracer::global().write_chrome_json(*trace_out);
     std::printf("trace written to %s (load in Perfetto or chrome://tracing)\n",
@@ -479,8 +386,7 @@ int cmd_serve(Args& args, const char* argv0) {
 int cmd_work(Args& args) {
   const std::string address = args.require("--connect");
   dist::ServiceWorker::Options options;
-  options.threads =
-      static_cast<unsigned>(args.number("--threads", options.threads));
+  options.threads = args.small_number("--threads", options.threads);
   if (args.flag("--per-fault")) options.batched_campaigns = false;
   options.slow_point_us = args.number("--slow-us", 0);
   const std::optional<std::string> trace_out = args.value("--trace-out");
@@ -652,10 +558,7 @@ int main(int argc, char** argv) {
   try {
     apply_logging_flags(args);
     if (subcommand == "example-job") return cmd_example_job(args);
-    if (subcommand == "plan") return cmd_plan(args);
-    if (subcommand == "worker") return cmd_worker(args);
     if (subcommand == "run") return cmd_run(args, argv[0]);
-    if (subcommand == "merge") return cmd_merge(args);
     if (subcommand == "single") return cmd_single(args);
     if (subcommand == "serve") return cmd_serve(args, argv[0]);
     if (subcommand == "work") return cmd_work(args);
