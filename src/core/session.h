@@ -60,14 +60,14 @@ struct SessionConfig {
   /// Opt-in time-resolved power accounting: when set, every run carries a
   /// power::TraceSummary (peak-window power, per-March-element breakdown)
   /// in SessionResult::trace.  Energy totals are bit-identical to an
-  /// untraced run; cycle-accurate execution takes the per-cycle metering
-  /// path, so traced runs trade some speed for time resolution.
+  /// untraced run; cycle-accurate execution folds the trace inside its
+  /// batch executor.
   std::optional<power::TraceConfig> trace;
   /// Opt-in per-cycle waveform export (borrowed, may be nullptr): a
   /// power::WaveformWriter (or any raw-event MeterSink) subscribed to
   /// every cycle-accurate run of this session — including both runs of a
-  /// compare_modes pair.  Needs the raw event stream, so it forces the
-  /// per-cycle execution path; totals stay bit-identical.
+  /// compare_modes pair.  Needs the raw event stream, so the batch
+  /// executor forwards every event to it; totals stay bit-identical.
   power::MeterSink* waveform_sink = nullptr;
 };
 

@@ -8,7 +8,9 @@
 //   * AnalyticBackend — the paper's §5 closed-form model; fault-free only,
 //     O(1) per run, for geometry/background/algorithm sweeps.
 //
-// Future backends (batched, SIMD, distributed) plug in here.
+// Batched and SIMD execution live inside the cycle-accurate backend's array
+// (SramArray::execute_run); distribution sits above the backends
+// (dist::Service fans sweep points out to workers).
 #pragma once
 
 #include <cstdint>

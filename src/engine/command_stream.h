@@ -82,8 +82,8 @@ struct StreamOptions {
   /// Optional per-event export sink (borrowed; e.g. a
   /// power::WaveformWriter).  Trace-capable backends subscribe it to the
   /// meter for the run — alongside the trace when both are requested.  A
-  /// sink that needs the raw event stream forces per-cycle execution, so
-  /// expect waveform runs to be slower than traced ones.
+  /// sink that needs the raw event stream receives every event as it
+  /// happens, so expect waveform runs to be slower than traced ones.
   power::MeterSink* waveform_sink = nullptr;
 };
 

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -255,10 +256,14 @@ bool LineChannel::send(const JsonValue& value) {
 
 std::optional<JsonValue> LineChannel::receive() {
   for (;;) {
-    const std::size_t newline = read_buffer_.find('\n');
+    // Frames are consumed by advancing read_pos_, and only bytes appended
+    // since the last scan are searched, so a multi-MiB frame arriving in
+    // 4 KiB pieces costs linear time, not a rescan per piece.
+    const std::size_t newline = read_buffer_.find('\n', scan_pos_);
     if (newline != std::string::npos) {
-      std::string line = read_buffer_.substr(0, newline);
-      read_buffer_.erase(0, newline + 1);
+      const std::string_view line(read_buffer_.data() + read_pos_,
+                                  newline - read_pos_);
+      read_pos_ = scan_pos_ = newline + 1;
       if (line.empty()) continue;
       try {
         return JsonValue::parse(line);
@@ -266,7 +271,12 @@ std::optional<JsonValue> LineChannel::receive() {
         return std::nullopt;  // garbled frame: treat the peer as dead
       }
     }
+    scan_pos_ = read_buffer_.size();
     if (peer_dead_ || !socket_.valid()) return std::nullopt;
+    // Every complete frame is consumed: drop them once before refilling.
+    read_buffer_.erase(0, read_pos_);
+    scan_pos_ -= read_pos_;
+    read_pos_ = 0;
     char chunk[4096];
     const ssize_t n = ::recv(socket_.fd(), chunk, sizeof chunk, 0);
     if (n > 0) {

@@ -95,6 +95,8 @@ class LineChannel {
   Socket socket_;
   std::mutex send_mutex_;
   std::string read_buffer_;
+  std::size_t read_pos_ = 0;  ///< start of the first unconsumed frame
+  std::size_t scan_pos_ = 0;  ///< bytes before this hold no newline
   bool peer_dead_ = false;
 };
 

@@ -58,9 +58,9 @@ class MeterSink {
   // would have performed, and writes the blocks back at window boundaries
   // and spill points.  Because each (source, window/element) accumulator
   // receives the identical addition sequence, the folded result is
-  // bit-identical to the per-cycle event stream.  Sinks that need the
-  // events themselves (waveform writers) simply keep the default: the
-  // executor falls back to per-cycle delivery.
+  // bit-identical to the event stream.  Sinks that need the events
+  // themselves (waveform writers) simply keep the default: the executor
+  // then forwards every event through the meter as it happens.
 
   /// Opt in to bulk folding.  Returning true promises the three methods
   /// below are implemented and that skipping per-event on_add delivery in
@@ -186,11 +186,11 @@ class EnergyMeter {
   /// window/element blocks the executor folds the same way — see
   /// MeterSink::bulk_fold_supported).  A sink that needs the event stream
   /// itself keeps this unavailable: raw accumulation would bypass it
-  /// (SramArray routes such runs through the per-cycle path instead).
+  /// (SramArray's executor meters such runs through add() instead).
   std::array<double, kEnergySourceCount>& raw_totals() {
     SRAMLP_REQUIRE(sink_ == nullptr || sink_->bulk_fold_supported(),
                    "raw accumulator access would bypass the attached "
-                   "trace sink; use the per-cycle metering path");
+                   "raw-event sink; meter through add() instead");
     return totals_;
   }
 

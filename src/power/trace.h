@@ -96,9 +96,9 @@ class PowerTrace final : public MeterSink {
   // Bulk-fold contract: every trace accumulator is a per (source, window)
   // or (source, element) chain of repeated additions, so the batch
   // executor may fold whole runs directly into the slot blocks — the
-  // addition sequences (and therefore the bits) match per-cycle on_add
-  // delivery exactly.  This is what keeps traced runs on the engine's
-  // batched fast path instead of forcing per-cycle execution.
+  // addition sequences (and therefore the bits) match on_add delivery
+  // exactly, so the executor keeps the trace's blocks in registers instead
+  // of forwarding every event.
   bool bulk_fold_supported() const override { return true; }
   std::uint64_t bulk_window_cycles() const override {
     return config_.window_cycles;

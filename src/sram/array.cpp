@@ -39,6 +39,7 @@ SramArray::SramArray(const SramConfig& config)
                  "swap threshold must be a fraction of VDD");
   const double vdd = config_.tech.vdd;
   const Geometry& g = config_.geometry;
+  groups_ = g.col_groups();
   columns_.assign(g.cols, ColumnState{vdd, vdd, 0, false, false});
   sensitive_by_row_.assign(g.rows, {});
 
@@ -408,8 +409,29 @@ CycleResult SramArray::execute_op(const CycleCommand& command) {
 CycleResult SramArray::cycle(const CycleCommand& command) {
   const Geometry& g = config_.geometry;
   SRAMLP_REQUIRE(command.row < g.rows, "row out of range");
-  SRAMLP_REQUIRE(command.col_group < g.col_groups(), "column out of range");
-  return fast_ ? fast_cycle(command) : reference_cycle(command);
+  SRAMLP_REQUIRE(command.col_group < groups_, "column out of range");
+  if (!fast_) return reference_cycle(command);
+  // The bitsliced engine has one executor: a cycle is a run of one address
+  // and one operation.
+  const RunOp op{command.is_read, command.value};
+  RunCommand run;
+  run.row = command.row;
+  run.first_group = command.col_group;
+  run.group_count = 1;
+  run.descending = command.scan == Scan::kDescending;
+  run.ops = &op;
+  run.op_count = 1;
+  run.background = command.background;
+  run.scan = command.scan;
+  run.restore_last = command.restore_row_transition;
+  fast_run(run, &cycle_run_);
+  const RunResult& rr = cycle_run_;
+  CycleResult result;
+  result.read_value = rr.read_value;
+  result.mismatch = rr.mismatches != 0;
+  if (result.mismatch) result.first_bad_col = rr.detections[0].col;
+  result.faulty_swaps = rr.faulty_swaps;
+  return result;
 }
 
 CycleResult SramArray::reference_cycle(const CycleCommand& command) {
@@ -729,117 +751,6 @@ std::uint32_t SramArray::fast_enter_row(std::size_t row) {
   return swaps;
 }
 
-CycleResult SramArray::fast_execute_op(const CycleCommand& command) {
-  CycleResult result;
-  const auto& t = config_.tech;
-  const std::size_t w = config_.geometry.word_width;
-  const std::size_t first_col = command.col_group * w;
-
-  // Column-state phase: bring every selected column to pre-charged VDD,
-  // folding residual decay exactly like the reference engine (including
-  // its back-to-back multi-op exemption).
-  for (std::size_t b = 0; b < w; ++b) {
-    const std::size_t col = first_col + b;
-    const std::uint32_t tag = cohort_of_[col];
-    if (tag == kColPrecharged) continue;  // at VDD, disconnected: no energy
-    if (tag == kColMaterialized) {
-      ColumnState& s = columns_[col];
-      if (s.connected && cycle_ - s.since <= 1 &&
-          s.v_bl >= t.vdd - 1e-3 && s.v_blb >= t.vdd - 1e-3) {
-        s.v_bl = t.vdd;
-        s.v_blb = t.vdd;
-        s.connected = false;
-        s.pre_op_phase = false;
-        s.since = cycle_;
-      } else {
-        recharge(col, EnergySource::kPrechargeNextColumn);
-      }
-      if (!always_materialized_[col]) cohort_of_[col] = kColPrecharged;
-      continue;
-    }
-    const Cohort& k = cohorts_[tag];
-    if (cycle_ - k.start <= 1) {
-      // Back-to-back exemption: still at VDD, stays pre-charged for free.
-      cohort_of_[col] = kColPrecharged;
-    } else {
-      materialize_column(col);
-      recharge(col, EnergySource::kPrechargeNextColumn);
-      cohort_of_[col] = kColPrecharged;
-    }
-  }
-
-  // Operation phase.  Fault hooks are per-cell, so an attached model runs
-  // the shared per-bit path; otherwise the whole group reads, compares
-  // against the background and writes word-parallel (bit-oriented arrays
-  // take the single-cell shortcut of the same math).
-  if (faults_ != nullptr) {
-    for (std::size_t b = 0; b < w; ++b)
-      op_bit(command, first_col + b, &result);
-  } else {
-    if (w == 1) {
-      const bool physical =
-          command.background.physical(command.value, command.row, first_col);
-      if (command.is_read) {
-        const bool sensed = cells_.get_unchecked(command.row, first_col);
-        if (sensed != physical) {
-          result.mismatch = true;
-          result.first_bad_col = first_col;
-        }
-        result.read_value = sensed;
-      } else {
-        cells_.set_unchecked(command.row, first_col, physical);
-      }
-    } else {
-      // One 64-periodic word describes the whole group's expected physical
-      // data (every background's column period divides 64), so the
-      // fault-free data path compares / writes the full slice word-parallel;
-      // only a mismatching read decomposes per 64-bit chunk.
-      const std::uint64_t pattern =
-          (command.value ? ~std::uint64_t{0} : std::uint64_t{0}) ^
-          command.background.bits(command.row, first_col,
-                                  std::min<std::size_t>(64, w));
-      if (command.is_read) {
-        if (cells_.row_matches_pattern(command.row, first_col, w, pattern)) {
-          result.read_value = ((pattern >> ((w - 1) & 63)) & 1u) != 0;
-        } else {
-          for (std::size_t c0 = first_col; c0 < first_col + w; c0 += 64) {
-            const std::size_t n =
-                std::min<std::size_t>(64, first_col + w - c0);
-            const std::uint64_t physical = pattern & low_bit_mask(n);
-            const std::uint64_t sensed = cells_.row_bits(command.row, c0, n);
-            if (sensed != physical) {
-              if (!result.mismatch)
-                result.first_bad_col =
-                    c0 + static_cast<std::size_t>(
-                             std::countr_zero(sensed ^ physical));
-              result.mismatch = true;
-            }
-            result.read_value = ((sensed >> (n - 1)) & 1u) != 0;
-          }
-        }
-      } else {
-        cells_.fill_row_pattern(command.row, first_col, w, pattern);
-      }
-    }
-    if (command.is_read) {
-      meter_.add(EnergySource::kSenseAmp, e_.sense_amp, w);
-      meter_.add(EnergySource::kDataIo, e_.data_io, w);
-      meter_.add(EnergySource::kPrechargeRestoreRead, e_.read_restore, w);
-      meter_.add(EnergySource::kCellRes, e_.cell_res, w);
-    } else {
-      meter_.add(EnergySource::kWriteDriver, e_.write_driver, w);
-      meter_.add(EnergySource::kDataIo, e_.data_io, w);
-      meter_.add(EnergySource::kPrechargeRestoreWrite, e_.write_restore, w);
-    }
-  }
-  if (command.is_read)
-    ++stats_.reads;
-  else
-    ++stats_.writes;
-  if (result.mismatch) ++stats_.read_mismatches;
-  return result;
-}
-
 void SramArray::fast_restore_cycle(std::size_t row, std::size_t first_col) {
   const Geometry& g = config_.geometry;
   const std::size_t w = g.word_width;
@@ -878,126 +789,6 @@ void SramArray::fast_restore_cycle(std::size_t row, std::size_t first_col) {
     }
   }
   cohorts_.clear();
-}
-
-CycleResult SramArray::fast_cycle(const CycleCommand& command) {
-  const Geometry& g = config_.geometry;
-  CycleResult result;
-  const bool lp = config_.mode == Mode::kLowPowerTest;
-  const std::size_t w = g.word_width;
-  const std::size_t first_col = command.col_group * w;
-
-  // Row hand-over bookkeeping (swap hazard in LP mode without restore).
-  if (!active_row_ || *active_row_ != command.row)
-    result.faulty_swaps = fast_enter_row(command.row);
-  stats_.faulty_swaps += result.faulty_swaps;
-
-  charge_peripheral(command);
-
-  // The operation itself (selected columns).
-  const CycleResult op = fast_execute_op(command);
-  result.read_value = op.read_value;
-  result.mismatch = op.mismatch;
-  result.first_bad_col = op.first_bad_col;
-
-  // Pre-charge activity snapshot: stored as the command outline, expanded
-  // on demand by precharge_was_active() instead of an O(cols) refill.
-  snap_.valid = true;
-  snap_.all_on = !lp || command.restore_row_transition;
-  snap_.first_col = first_col;
-  snap_.width = w;
-  snap_.has_follower = false;
-
-  if (!lp) {
-    // Functional mode: every unselected column of the active row fights a
-    // full RES against its live pre-charge circuit, every cycle.
-    meter_.add(EnergySource::kPrechargeResFight, e_.others_res_fight);
-    meter_.add(EnergySource::kCellRes, e_.others_cell_res);
-    stats_.full_res_column_cycles += g.cols - w;
-    if (faults_ != nullptr) {
-      for (std::size_t col : sensitive_by_row_[command.row]) {
-        if (col < first_col || col >= first_col + w)
-          faults_->on_res(*this, {command.row, col}, 1.0);
-      }
-    }
-  } else if (command.restore_row_transition) {
-    fast_restore_cycle(command.row, first_col);
-  } else {
-    // Steady LP cycle: only the follower group's pre-charge is on (driven
-    // by the previous column's selection signal, Fig. 8).  The last group
-    // of the scan has no follower (its CS line is not wrapped around).
-    const bool ascending = command.scan == Scan::kAscending;
-    const std::size_t groups = g.col_groups();
-    std::optional<std::size_t> follower;
-    if (ascending && command.col_group + 1 < groups)
-      follower = command.col_group + 1;
-    else if (!ascending && command.col_group > 0)
-      follower = command.col_group - 1;
-    if (follower) {
-      const std::size_t fc = *follower * w;
-      snap_.has_follower = true;
-      snap_.follower_first = fc;
-      for_each_run(fc, fc + w,
-                   [&](std::size_t col, std::size_t n, std::uint32_t tag) {
-        if (tag == kColPrecharged) {
-          full_res_bulk(n);
-        } else if (tag == kColMaterialized) {
-          for (std::size_t c = col; c < col + n; ++c) {
-            recharge(c, EnergySource::kPrechargeNextColumn);
-            apply_full_res(command.row, c);
-            if (!always_materialized_[c]) cohort_of_[c] = kColPrecharged;
-          }
-        } else {
-          const Cohort& k = cohorts_[tag];
-          const CohortEval e = eval_cohort(k);
-          cohort_recharge_bulk(e, k, n, EnergySource::kPrechargeNextColumn);
-          full_res_bulk(n);
-          std::fill(cohort_of_.begin() + static_cast<std::ptrdiff_t>(col),
-                    cohort_of_.begin() + static_cast<std::ptrdiff_t>(col + n),
-                    kColPrecharged);
-        }
-      });
-    }
-    // One control element switches per column-group advance (paper §5.5).
-    if (!last_col_group_ || *last_col_group_ != command.col_group)
-      meter_.add(EnergySource::kControlLogic, e_.control_element_group);
-  }
-
-  // After the restore phase the selected columns sit at VDD; from the next
-  // cycle on they decay again (WL still strobes this row every cycle).
-  // (Restore cycles leave everything pre-charged via fast_restore_cycle.)
-  if (lp && !command.restore_row_transition) {
-    const std::uint32_t post_cohort =
-        static_cast<std::uint32_t>(cohorts_.size());
-    cohorts_.push_back(Cohort{cycle_ + 1, /*pre_op=*/false});
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t col = first_col + b;
-      if (always_materialized_[col])
-        begin_decay(col, /*pre_op=*/false);
-      else
-        cohort_of_[col] = post_cohort;
-    }
-    if (cohorts_.size() > 2 * g.cols + 64) compact_cohorts();
-  } else if (!lp) {
-    for (std::size_t b = 0; b < w; ++b) {
-      const std::size_t col = first_col + b;
-      if (cohort_of_[col] == kColMaterialized) {
-        columns_[col].v_bl = config_.tech.vdd;
-        columns_[col].v_blb = config_.tech.vdd;
-        columns_[col].connected = false;
-        columns_[col].since = cycle_;
-      } else {
-        cohort_of_[col] = kColPrecharged;
-      }
-    }
-  }
-
-  restored_last_cycle_ = lp && command.restore_row_transition;
-  last_col_group_ = command.col_group;
-  ++cycle_;
-  meter_.tick_cycle();
-  ++stats_.cycles;
-  return result;
 }
 
 void SramArray::fast_idle(std::uint64_t cycles) {
@@ -1047,26 +838,17 @@ RunResult SramArray::execute_run(const RunCommand& run) {
   SRAMLP_REQUIRE(run.row < g.rows, "row out of range");
   SRAMLP_REQUIRE(run.group_count >= 1, "empty run");
   if (run.descending) {
-    SRAMLP_REQUIRE(run.first_group < g.col_groups() &&
+    SRAMLP_REQUIRE(run.first_group < groups_ &&
                        run.group_count <= run.first_group + 1,
                    "column run out of range");
   } else {
-    SRAMLP_REQUIRE(run.first_group + run.group_count <= g.col_groups(),
+    SRAMLP_REQUIRE(run.first_group + run.group_count <= groups_,
                    "column run out of range");
   }
-  // fast_run accumulates meter totals in registers via raw_totals().  A
-  // bulk-fold-capable sink (PowerTrace) keeps the batch path: its window /
-  // element blocks fold through the identical addition sequences, so both
-  // totals and traces stay bit-identical to per-cycle delivery (the batch
-  // executor's documented contract, pinned by test_bitsliced_parity.cpp).
-  // A sink that needs the raw event stream (waveform writers) forces the
-  // per-cycle path — every event delivered.
   if (!fast_) return run_per_cycle(run);
-  if (meter_.has_sink() && !meter_.sink()->bulk_fold_supported()) {
-    ++run_paths_.traced;
-    return run_per_cycle(run);
-  }
-  return fast_run(run);
+  RunResult rr;
+  fast_run(run, &rr);
+  return rr;
 }
 
 RunResult SramArray::run_per_cycle(const RunCommand& run) {
@@ -1084,8 +866,9 @@ RunResult SramArray::run_per_cycle(const RunCommand& run) {
       cmd.restore_row_transition = run.restore_last &&
                                    k + 1 == run.group_count &&
                                    o + 1 == run.op_count;
-      const CycleResult r = fast_ ? fast_cycle(cmd) : reference_cycle(cmd);
+      const CycleResult r = reference_cycle(cmd);
       rr.faulty_swaps += r.faulty_swaps;
+      if (cmd.is_read) rr.read_value = r.read_value;
       if (cmd.is_read && r.mismatch) {
         ++rr.mismatches;
         if (rr.detection_count < RunResult::kDetectionCap)
@@ -1097,21 +880,30 @@ RunResult SramArray::run_per_cycle(const RunCommand& run) {
   return rr;
 }
 
-RunResult SramArray::fast_run(const RunCommand& run) {
-  // A sink can only be attached here when it supports bulk folding
-  // (execute_run routes other sinks per-cycle); pick the matching
-  // instantiation once per run.
-  return meter_.has_sink() ? fast_run_impl<true>(run)
-                           : fast_run_impl<false>(run);
+void SramArray::fast_run(const RunCommand& run, RunResult* rr) {
+  // Pick the instantiation matching the attached sink once per run.
+  if (!meter_.has_sink()) {
+    fast_run_impl<Metering::kTotals>(run, rr);
+  } else if (meter_.sink()->bulk_fold_supported()) {
+    fast_run_impl<Metering::kFolded>(run, rr);
+  } else {
+    fast_run_impl<Metering::kEvents>(run, rr);
+  }
 }
 
-template <bool kTraced>
-RunResult SramArray::fast_run_impl(const RunCommand& run) {
+template <SramArray::Metering kMetering>
+void SramArray::fast_run_impl(const RunCommand& run, RunResult* out) {
   const Geometry& g = config_.geometry;
   const std::size_t w = g.word_width;
   const bool lp = config_.mode == Mode::kLowPowerTest;
   const double vdd = config_.tech.vdd;
-  RunResult rr;
+  // The result may still hold an earlier run's (cycle() reuses one);
+  // detections past detection_count are never read.
+  RunResult& rr = *out;
+  rr.mismatches = 0;
+  rr.faulty_swaps = 0;
+  rr.read_value = false;
+  rr.detection_count = 0;
 
   // Row hand-over once for the whole run.
   bool entered = false;
@@ -1121,9 +913,17 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   }
   stats_.faulty_swaps += rr.faulty_swaps;
 
+  // Materialized columns among the run's selected groups (a whole-row run
+  // selects every column); scanning only those keeps a one-address run
+  // O(word_width).
+  const std::size_t span_first =
+      (run.descending ? run.first_group + 1 - run.group_count
+                      : run.first_group) *
+      w;
   bool have_mat = false;
-  for (const std::uint32_t tag : cohort_of_) {
-    if (tag == kColMaterialized) {
+  for (std::size_t col = span_first; col < span_first + run.group_count * w;
+       ++col) {
+    if (cohort_of_[col] == kColMaterialized) {
       have_mat = true;
       break;
     }
@@ -1134,7 +934,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   const bool hooked =
       faults_ != nullptr && (all_rows_hooked_ || hooked_rows_[run.row]);
 
-  const std::size_t groups = g.col_groups();
+  const std::size_t groups = groups_;
   const bool ascending = run.scan == Scan::kAscending;
   // Virtual-cohort mode: a clean whole-row LP sweep entered this call with
   // no materialized columns has a fully predictable decay structure —
@@ -1153,31 +953,37 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
 
   // Path choice (see the file comment): the whole-row path when the run
   // qualifies and its reads all match, else the per-address loop below.
-  if constexpr (kTraced) {
+  // A one-address run (every cycle() call) has no repeated period for the
+  // whole-row path to skip, so the loop serves it more cheaply.
+  if constexpr (kMetering != Metering::kTotals) {
     ++run_paths_.traced;
   } else if (faults_ != nullptr) {
     ++run_paths_.faults;
-  } else if (have_mat || (lp && !virt)) {
+  } else if (have_mat || (lp && !virt) || run.group_count == 1) {
     ++run_paths_.partial;
-  } else if (whole_row_run(run)) {
+  } else if (whole_row_run(run, &rr)) {
     ++run_paths_.whole_row;
     end_run(run, virt);
-    return rr;
+    return;
   } else {
     ++run_paths_.mismatch;
   }
 
   // Meter accumulators and the hot statistics live in locals for the whole
-  // run: each cycle performs exactly the additions the per-cycle path
+  // run: each cycle performs exactly the additions the reference engine
   // performs, in the same order, so the written-back totals match it to
   // the bit.  store()/load() spill and reload them around the rare
   // per-column (materialized / restore) work that meters directly.
   // Fault hooks never touch the meter (they only see cells via force()),
-  // so hook calls need no spill.
-  constexpr auto I = [](EnergySource s) constexpr {
+  // so hook calls need no spill.  A raw-event sink (waveform writer) keeps
+  // the statistics local but receives every event: acc() forwards it to
+  // the meter, which stamps it with the cycle and ticks once per cycle.
+  constexpr bool kTraced = kMetering == Metering::kFolded;
+  constexpr bool kEvents = kMetering == Metering::kEvents;
+  [[maybe_unused]] constexpr auto I = [](EnergySource s) constexpr {
     return static_cast<std::size_t>(s);
   };
-  auto& totals = meter_.raw_totals();
+  double* const totals = kEvents ? nullptr : meter_.raw_totals().data();
   // Traced runs additionally fold the sink's current-window and
   // current-element slot blocks: local copies receive the identical
   // per-slot addition sequences on_add would have performed, and are
@@ -1194,6 +1000,10 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
   power::MeterSink* const sink = kTraced ? meter_.sink() : nullptr;
   std::uint64_t win_cycles = 1;
   if constexpr (kTraced) win_cycles = sink->bulk_window_cycles();
+  // The sink stamps events with the meter's cycle counter, which restarts
+  // at reset_measurements() while cycle_ runs on; the two advance together
+  // within a run, so the meter's cycle is cycle_ - meter_base throughout.
+  const std::uint64_t meter_base = cycle_ - meter_.cycles();
   double* winp = nullptr;
   double* elemp = nullptr;
   std::uint64_t cur_window = 0;
@@ -1206,10 +1016,8 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
     equiv_pre = stats_.decay_stress_equiv_pre_op;
     if constexpr (kTraced) {
       // (Re-)acquire the sink's blocks: direct meter adds during a spill
-      // fold windows and may reallocate the sink's slot storage.  The
-      // meter's cycle counter equals cycle_ at every spill point, so the
-      // current window is cycle_ / width on both paths.
-      cur_window = cycle_ / win_cycles;
+      // fold windows and may reallocate the sink's slot storage.
+      cur_window = (cycle_ - meter_base) / win_cycles;
       winp = sink->bulk_window_slots(cur_window);
       elemp = sink->bulk_element_slots();
       for (std::size_t i = 0; i < power::kEnergySourceCount; ++i) {
@@ -1217,8 +1025,8 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
         t[i * 4 + 1] = elemp[i];
         t[i * 4 + 2] = totals[i];
       }
-    } else {
-      t = totals;
+    } else if constexpr (!kEvents) {
+      std::copy_n(totals, power::kEnergySourceCount, t.begin());
     }
   };
   const auto store = [&] {
@@ -1229,7 +1037,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
     stats_.writes += d_writes;
     stats_.read_mismatches += d_mismatch;
     stats_.cycles += d_cycles;
-    meter_.tick_cycles(d_cycles);
+    if constexpr (!kEvents) meter_.tick_cycles(d_cycles);
     d_full_res = d_reads = d_writes = d_mismatch = d_cycles = 0;
     if constexpr (kTraced) {
       for (std::size_t i = 0; i < power::kEnergySourceCount; ++i) {
@@ -1237,12 +1045,12 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
         elemp[i] = t[i * 4 + 1];
         totals[i] = t[i * 4 + 2];
       }
-    } else {
-      totals = t;
+    } else if constexpr (!kEvents) {
+      std::copy_n(t.begin(), power::kEnergySourceCount, totals);
     }
   };
   // One metered event: the totals always; the trace's window / element
-  // chains only for supply-drawn sources (the per-cycle sink skips
+  // chains only for supply-drawn sources (PowerTrace::on_add skips
   // stored-charge stress the same way).  Mirroring an exact 0.0 is a
   // bitwise no-op on the non-negative accumulators, matching the sink's
   // zero-event skip.
@@ -1256,6 +1064,8 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
         *reinterpret_cast<V2*>(p) += V2{e, e};
       }
       p[2] += e;
+    } else if constexpr (kEvents) {
+      meter_.add(s, e);
     } else {
       t[I(s)] += e;
     }
@@ -1285,6 +1095,9 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       }
     }
     const bool group_advance = k != 0 || first_group_advance;
+    // Every address runs the same operations, so the run's last read (the
+    // one RunResult::read_value reports) happens at its last address.
+    const bool last_address = k + 1 == run.group_count;
     d_reads += reads_per_addr;
     d_writes += writes_per_addr;
 
@@ -1294,16 +1107,16 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
                            o + 1 == run.op_count;
 
       if constexpr (kTraced) {
-        if (cycle_ / win_cycles != cur_window) {
+        if ((cycle_ - meter_base) / win_cycles != cur_window) {
           // Entering a new window with a cycle still to run: finish the
           // old block, acquire the new one (acquisition finalizes every
           // window below it).  Doing this before the cycle's first event
           // — rather than right after ++cycle_ — means a window past the
-          // run's final event never materializes, matching the per-cycle
-          // sink, which only creates a window when an add lands in it.
+          // run's final event never materializes, matching on_add
+          // delivery, which only creates a window when an add lands in it.
           for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
             winp[i] = t[i * 4];
-          cur_window = cycle_ / win_cycles;
+          cur_window = (cycle_ - meter_base) / win_cycles;
           winp = sink->bulk_window_slots(cur_window);
           for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
             t[i * 4] = winp[i];
@@ -1317,7 +1130,10 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
       acc(EnergySource::kClockTree, e_.clock_tree);
       acc(EnergySource::kMemoryControl, e_.control_base);
 
-      // --- selected column state (fast_execute_op phase 1) ------------
+      // --- selected column state ---------------------------------------
+      // Bring every selected column to pre-charged VDD, folding residual
+      // decay exactly like the reference engine (including its
+      // back-to-back multi-op exemption).
       // Virtual mode: the selected group is provably exempt or
       // pre-charged on every cycle of the sweep — no state, no energy.
       // Functional runs without materialized columns are all-pre-charged
@@ -1374,6 +1190,7 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
               mismatch = true;
               faults_->on_read_mismatch(cell);
             }
+            if (last_address) rr.read_value = sensed;
             acc(EnergySource::kSenseAmp, e_.sense_amp);
             acc(EnergySource::kDataIo, e_.data_io);
             acc(EnergySource::kPrechargeRestoreRead, e_.read_restore);
@@ -1406,9 +1223,10 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
             cells_.set_unchecked(run.row, first_col, physical);
           }
         } else {
-          // Word-parallel data path: one 64-periodic pattern word covers
-          // the whole group (see fast_execute_op); mismatching reads —
-          // the rare case — decompose per 64-bit chunk.
+          // Word-parallel data path: one 64-periodic pattern word describes
+          // the whole group's expected physical data (every background's
+          // column period divides 64); mismatching reads — the rare case —
+          // decompose per 64-bit chunk.
           const std::uint64_t pattern =
               (op.value ? ~std::uint64_t{0} : std::uint64_t{0}) ^
               run.background.bits(run.row, first_col,
@@ -1442,6 +1260,9 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
           }
         }
         if (op.is_read) {
+          // A read leaves these cells as it sensed them.
+          if (last_address)
+            rr.read_value = cells_.get_unchecked(run.row, first_col + w - 1);
           for (std::size_t b = 0; b < w; ++b) {
             acc(EnergySource::kSenseAmp, e_.sense_amp);
             acc(EnergySource::kDataIo, e_.data_io);
@@ -1604,15 +1425,19 @@ RunResult SramArray::fast_run_impl(const RunCommand& run) {
 
       ++cycle_;
       ++d_cycles;
+      if constexpr (kEvents) meter_.tick_cycle();
     }
     group = run.descending ? group - 1 : group + 1;
   }
   store();
   end_run(run, virt);
-  return rr;
 }
 
-bool SramArray::whole_row_run(const RunCommand& run) {
+// Out of line on purpose: inlined into fast_run_impl (its only caller), it
+// shares that function's register pressure, and fault-free functional
+// sessions ran about 10% slower.
+[[gnu::noinline]] bool SramArray::whole_row_run(const RunCommand& run,
+                                                RunResult* rr) {
   const Geometry& g = config_.geometry;
   const std::size_t w = g.word_width;
   const std::size_t addrs = run.group_count;
@@ -1638,6 +1463,7 @@ bool SramArray::whole_row_run(const RunCommand& run) {
   };
   std::optional<bool> written;
   std::uint64_t reads_per_addr = 0;
+  bool last_read = false;
   for (std::size_t o = 0; o < run.op_count; ++o) {
     const RunOp op = run.ops[o];
     if (!op.is_read) {
@@ -1645,6 +1471,7 @@ bool SramArray::whole_row_run(const RunCommand& run) {
       continue;
     }
     ++reads_per_addr;
+    last_read = op.value;
     if (written ? *written != op.value
                 : !cells_.row_matches_pattern(run.row, first_col, span,
                                               pattern(op.value)))
@@ -1652,6 +1479,13 @@ bool SramArray::whole_row_run(const RunCommand& run) {
   }
   if (written)
     cells_.fill_row_pattern(run.row, first_col, span, pattern(*written));
+  if (reads_per_addr != 0) {
+    // The run's last read (at its last address, the lowest group of a
+    // descending run) sensed the expected data.
+    const std::size_t last_bit =
+        (run.descending ? first_col + w : first_col + span) - 1;
+    rr->read_value = run.background.physical(last_read, run.row, last_bit);
+  }
 
   // --- meter ------------------------------------------------------------------
   // Every address adds the same constants to each accumulator, except the
@@ -1667,7 +1501,12 @@ bool SramArray::whole_row_run(const RunCommand& run) {
     for (auto& seq : period_) seq.clear();
     const auto put = [&](EnergySource s, double e, std::size_t count) {
       auto& seq = period_[I(s)];
-      seq.insert(seq.end(), count, e);
+      // Most puts are one addition; push_back keeps them off the generic
+      // fill-insert path.
+      if (count == 1)
+        seq.push_back(e);
+      else
+        seq.insert(seq.end(), count, e);
     };
     const bool last = k + 1 == addrs;
     for (std::size_t o = 0; o < run.op_count; ++o) {
@@ -1765,7 +1604,7 @@ bool SramArray::whole_row_run(const RunCommand& run) {
 
 void SramArray::end_run(const RunCommand& run, bool virt) {
   const std::size_t w = config_.geometry.word_width;
-  const std::size_t groups = config_.geometry.col_groups();
+  const std::size_t groups = groups_;
   const bool lp = config_.mode == Mode::kLowPowerTest;
   const bool ascending = run.scan == Scan::kAscending;
   if (virt && run.restore_last) {
@@ -1775,7 +1614,7 @@ void SramArray::end_run(const RunCommand& run, bool virt) {
   } else if (virt) {
     // Materialize the row's deferred cohort structure: one post-op cohort
     // per group, decay start arithmetic in the scan position — the exact
-    // state the per-cycle path would have accumulated.
+    // state tracking the cohorts cycle by cycle would have accumulated.
     const std::uint64_t row_entry_cycle =
         cycle_ - run.group_count * run.op_count;
     cohorts_.clear();

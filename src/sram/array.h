@@ -47,12 +47,15 @@
 //     (power::repeat_add), so per-source floating-point sums match the
 //     reference path's addition-by-addition.
 //
-// Whole-row runs (execute_run) take one of two bitsliced paths:
+// The bitsliced engine has one executor, the batch executor behind
+// execute_run; cycle() hands it a run of one address and one operation.
+// A run takes one of two paths:
 //
-//   * the whole-row path, for an untraced run with no fault model attached
-//     and no materialized column — in low-power mode additionally a clean
-//     whole row entered by this run, whose decay structure is then fixed by
-//     the scan.  Every read of the run is checked against the whole row at
+//   * the whole-row path, for an untraced run of more than one address
+//     with no fault model attached and no materialized column among its
+//     selected groups — in low-power mode additionally a clean whole row
+//     entered by this run, whose decay structure is then fixed by the
+//     scan.  Every read of the run is checked against the whole row at
 //     once (row_matches_pattern; a read after a write in the same element
 //     compares logical values) and only the element's last write is
 //     applied (fill_row_pattern).  Each meter accumulator receives the same
@@ -63,14 +66,21 @@
 //     A run costs O(row / 64 + sources x binades crossed) in functional
 //     mode, plus O(row) for those decay terms in low-power mode.
 //   * the per-address loop, otherwise: traced runs (a meter sink is
-//     attached), runs with a fault model, partial rows or rows with
-//     materialized columns, and runs whose check finds a mismatch — the
-//     check returns before anything has changed.  run_path_counts() tells
-//     how many runs took each path.
+//     attached), runs with a fault model, one-address runs, partial rows
+//     or rows with materialized columns, and runs whose check finds a
+//     mismatch — the check returns before anything has changed.
+//     run_path_counts() tells how many runs took each path.
+//
+// The loop is compiled once per kind of meter sink: none (totals held in
+// registers), a bulk-fold sink (PowerTrace: its window and element blocks
+// are folded in registers too) and a raw-event sink (waveform writer:
+// every event is forwarded through the meter, stamped with its cycle).
+// All three perform the same additions in the same order.
 //
 // Bit-line voltages are tracked lazily (closed-form exponential decay from
 // the last capture point, memoized per integer cycle count), so a cycle
-// outside whole-row runs costs O(word_width) amortised work.
+// outside whole-row runs costs O(word_width) amortised work, plus O(cols)
+// at a low-power row hand-over or restore.
 #pragma once
 
 #include <array>
@@ -136,15 +146,17 @@ struct ArrayStats {
   double alpha_total() const;
 };
 
-/// How the bitsliced engine executed its execute_run calls: the whole-row
-/// path, or the per-address loop and why (see file comment).  Execution
+/// How the bitsliced engine executed its runs (execute_run calls, and
+/// cycle() calls as one-address runs): the whole-row path, or the
+/// per-address loop and why (see file comment).  Execution
 /// diagnostics only — the results are identical either way — so they stay
 /// out of ArrayStats, which result documents serialize.
 struct RunPathCounts {
   std::uint64_t whole_row = 0;
   std::uint64_t traced = 0;    ///< loop: a meter sink is attached
   std::uint64_t faults = 0;    ///< loop: a fault model is attached
-  std::uint64_t partial = 0;   ///< loop: partial row or materialized columns
+  /// loop: partial row (a one-address run is one) or materialized columns
+  std::uint64_t partial = 0;
   std::uint64_t mismatch = 0;  ///< loop: the whole-row check found one
 
   std::uint64_t loop_runs() const {
@@ -168,6 +180,7 @@ class SramArray {
 
   /// Execute one clock cycle. In low-power test mode the caller must issue
   /// addresses word-line-after-word-line (the TestSession enforces this).
+  /// The bitsliced engine runs it as a one-address, one-operation run.
   CycleResult cycle(const CycleCommand& command);
 
   /// Execute a whole-row batch of cycles (see RunCommand): group_count
@@ -175,7 +188,8 @@ class SramArray {
   /// statistics, cell contents and detections are bit-identical to
   /// issuing the equivalent CycleCommands through cycle(); the bitsliced
   /// engine executes the batch with meter accumulators held in registers
-  /// and per-cycle glue amortised over the row.
+  /// (unless a raw-event sink is attached) and per-cycle glue amortised
+  /// over the row.
   RunResult execute_run(const RunCommand& run);
 
   /// Idle for @p cycles clock cycles (March "Del" elements): no access,
@@ -204,8 +218,8 @@ class SramArray {
   const power::EnergyMeter& meter() const { return meter_; }
   power::EnergyMeter& meter() { return meter_; }
   const ArrayStats& stats() const { return stats_; }
-  /// execute_run paths taken since construction (reset_measurements keeps
-  /// them; the reference engine records none).
+  /// Run paths taken since construction (reset_measurements keeps them;
+  /// the reference engine records none).
   const RunPathCounts& run_path_counts() const { return run_paths_; }
 
   /// Average supply energy per cycle so far [J].
@@ -257,12 +271,12 @@ class SramArray {
   /// Full RES on one column for one cycle (fight energy + hooks).
   void apply_full_res(std::size_t row, std::size_t col);
   void charge_peripheral(const CycleCommand& command);
-  /// The read/write data-path of one selected cell (meters + fault hooks);
-  /// shared verbatim by both column engines.
-  void op_bit(const CycleCommand& command, std::size_t col,
-              CycleResult* result);
 
   // --- per-column reference engine ---------------------------------------
+  /// The read/write data-path of one selected cell (meters + fault hooks);
+  /// the batch executor's hooked data path performs the same sequence.
+  void op_bit(const CycleCommand& command, std::size_t col,
+              CycleResult* result);
   CycleResult reference_cycle(const CycleCommand& command);
   void reference_idle(std::uint64_t cycles);
   std::uint32_t enter_row(std::size_t row);
@@ -284,39 +298,43 @@ class SramArray {
     double recharge_e = 0.0; ///< supply energy to restore one pair to VDD
   };
 
-  CycleResult fast_cycle(const CycleCommand& command);
   void fast_idle(std::uint64_t cycles);
   std::uint32_t fast_enter_row(std::size_t row);
-  CycleResult fast_execute_op(const CycleCommand& command);
-  /// The Fig. 7 all-column restore cycle's column work (recharge + RES +
-  /// the everything-pre-charged tail), shared by fast_cycle and fast_run.
+  /// The column work of a non-virtual run's Fig. 7 all-column restore
+  /// cycle (recharge + RES + the everything-pre-charged tail).
   void fast_restore_cycle(std::size_t row, std::size_t first_col);
-  /// Per-cycle fallback for execute_run: the reference engine always, and
-  /// the bitsliced engine when the attached meter sink needs the raw event
-  /// stream (no bulk-fold support — e.g. a waveform writer).  Bulk-capable
-  /// sinks (PowerTrace) stay on the batched fast path, which folds their
-  /// window/element accumulators exactly like the meter totals.
-  /// Dispatches to the active engine's cycle path, which is bit-identical
-  /// to the batch executor.
+  /// The reference engine's execute_run: the run's cycles one at a time
+  /// through reference_cycle.
   RunResult run_per_cycle(const RunCommand& run);
-  RunResult fast_run(const RunCommand& run);
-  /// The batch executor, compiled twice: untraced (meter totals only) and
-  /// traced (additionally folding the sink's per-window / per-element
-  /// accumulator blocks through the identical addition sequences).
-  template <bool kTraced>
-  RunResult fast_run_impl(const RunCommand& run);
+  /// The bitsliced engine's execute_run (and cycle()): picks the
+  /// fast_run_impl instantiation for the attached sink.  Overwrites
+  /// @p rr's counters and the detections it reports.
+  void fast_run(const RunCommand& run, RunResult* rr);
+  /// How a batch-executor instantiation meters (see file comment).
+  enum class Metering {
+    kTotals,  ///< no sink: meter totals held in registers
+    kFolded,  ///< bulk-fold sink: its window / element blocks as well
+    kEvents,  ///< raw-event sink: every event forwarded through the meter
+  };
+  /// The batch executor, compiled once per Metering; every instantiation
+  /// performs the identical addition sequences.
+  template <Metering kMetering>
+  void fast_run_impl(const RunCommand& run, RunResult* out);
   /// The whole-row path (see file comment) for an untraced, fault-free run
   /// without materialized columns — in low-power mode a virtual-cohort run
   /// (see fast_run_impl).  Returns false, having changed nothing, when a
-  /// read would mismatch.
-  bool whole_row_run(const RunCommand& run);
+  /// read would mismatch; otherwise sets rr->read_value.
+  bool whole_row_run(const RunCommand& run, RunResult* rr);
   /// Shared end of both fast_run paths: the deferred cohort state of a
   /// virtual-cohort run and the run-edge bookkeeping.
   void end_run(const RunCommand& run, bool virt);
   CohortEval eval_cohort(const Cohort& cohort) const;
   /// eval_cohort keyed by elapsed decay cycles, served from the grow-only
   /// SIMD-filled table below (scalar closed form past the table cap).
-  CohortEval eval_elapsed(std::uint64_t elapsed) const {
+  /// Always inlined: the whole-row path calls it once per address, and as
+  /// an out-of-line call it made low-power sessions about 20% slower.
+  [[gnu::always_inline]] CohortEval eval_elapsed(
+      std::uint64_t elapsed) const {
     if (elapsed >= eval_table_.size()) return eval_elapsed_slow(elapsed);
     return {eval_table_.v_low[elapsed], eval_table_.stress_j[elapsed],
             eval_table_.equiv[elapsed], eval_table_.dv[elapsed],
@@ -357,6 +375,10 @@ class SramArray {
   power::EnergyMeter meter_;
   ArrayStats stats_;
   RunPathCounts run_paths_;
+  /// cycle()'s run result, reused: constructing a RunResult zeroes its
+  /// whole detection array, which would cost a one-address run more than
+  /// the rest of its bookkeeping.
+  RunResult cycle_run_;
   /// whole_row_run scratch: one address's additions, per source.
   std::array<std::vector<double>, power::kEnergySourceCount> period_;
   CellFaultModel* faults_ = nullptr;
@@ -385,6 +407,8 @@ class SramArray {
     double write_restore = 0.0;
   };
   PerCycleEnergies e_;
+  /// geometry().col_groups(), kept so a cycle pays no division for it.
+  std::size_t groups_ = 0;
 
   std::vector<ColumnState> columns_;
   std::vector<bool> precharge_active_;  ///< reference engine only

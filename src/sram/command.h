@@ -83,6 +83,9 @@ struct RunResult {
   static constexpr std::size_t kDetectionCap = 16;
   std::uint64_t mismatches = 0;        ///< read cycles with any bad bit
   std::uint32_t faulty_swaps = 0;
+  /// Sensed value of the run's last read (last bit for words; under a
+  /// fault model the value the model returned), false without reads.
+  bool read_value = false;
   std::size_t detection_count = 0;     ///< entries valid in detections[]
   struct RunDetection {
     std::size_t op = 0;

@@ -3,7 +3,8 @@
 // engine to the last bit — supply energy, every per-source meter total,
 // ArrayStats, detections, faulty swaps and cell contents — across
 // functional, low-power, restore-disabled and single-fault runs, on square
-// and awkward (non-square, non-power-of-two, word-oriented) geometries.
+// and awkward (non-square, non-power-of-two, word-oriented) geometries, and
+// under non-WLAWL address orders, whose cycles each run through cycle().
 // Also covers the whole-row batch executor (StreamRun / execute_run)
 // against the per-step path, and the lazy column state surviving
 // reset_measurements().
@@ -11,11 +12,13 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session.h"
 #include "engine/cycle_accurate_backend.h"
 #include "faults/models.h"
+#include "march/address_order.h"
 #include "march/algorithms.h"
 #include "march/parser.h"
 #include "power/energy_source.h"
@@ -130,6 +133,27 @@ SessionConfig grid_config(Mode mode, std::size_t rows, std::size_t cols,
   return cfg;
 }
 
+/// Address orders other than word-line-after-word-line.  The stream cannot
+/// batch them into rows, so every cycle reaches SramArray::cycle(), and a
+/// low-power request falls back to functional mode (paper §4).
+std::vector<std::pair<std::string, march::AddressOrder>> non_wlawl_orders(
+    const sram::Geometry& g) {
+  const std::size_t groups = g.col_groups();
+  return {{"fast_row", march::AddressOrder::fast_row(g.rows, groups)},
+          {"pseudo_random",
+           march::AddressOrder::pseudo_random(g.rows, groups, 11)},
+          {"gray_code", march::AddressOrder::gray_code(g.rows, groups)},
+          {"address_complement",
+           march::AddressOrder::address_complement(g.rows, groups)}};
+}
+
+/// Geometries the non-WLAWL order inputs run on: bit- and word-oriented,
+/// non-power-of-two.
+struct OrderGeo {
+  std::size_t rows, cols, w;
+};
+constexpr OrderGeo kOrderGeos[] = {{8, 24, 1}, {6, 20, 4}, {5, 14, 2}};
+
 // --- fault-free parity across modes, geometries, backgrounds ----------------
 
 TEST(BitslicedParity, FaultFreeAcrossModesAndAwkwardGeometries) {
@@ -149,6 +173,22 @@ TEST(BitslicedParity, FaultFreeAcrossModesAndAwkwardGeometries) {
             std::to_string(geo.cols) + "/w" + std::to_string(geo.w) +
             (mode == Mode::kFunctional ? " F" : " LP");
         expect_session_parity(cfg, test, nullptr, where);
+      }
+    }
+  }
+  // Non-WLAWL orders: one cycle() per address.
+  for (const auto& test :
+       {march::algorithms::march_c_minus(), march::algorithms::march_ss()}) {
+    for (const OrderGeo& geo : kOrderGeos) {
+      SessionConfig cfg =
+          grid_config(Mode::kLowPowerTest, geo.rows, geo.cols, geo.w);
+      for (const auto& [name, order] : non_wlawl_orders(cfg.geometry)) {
+        cfg.order = order;
+        expect_session_parity(
+            cfg, test, nullptr,
+            test.name() + " " + std::to_string(geo.rows) + "x" +
+                std::to_string(geo.cols) + "/w" + std::to_string(geo.w) +
+                " " + name);
       }
     }
   }
@@ -219,6 +259,26 @@ TEST(BitslicedParity, SingleFaultRunsAcrossKinds) {
       expect_session_parity(cfg, test, &spec,
                             spec.describe() +
                                 (mode == Mode::kFunctional ? " F" : " LP"));
+    }
+  }
+  // Every fault of the standard library under the non-WLAWL orders, whose
+  // cycles each run as a one-address run (read values and detections come
+  // back through CycleResult).
+  for (const auto& order_test :
+       {march::algorithms::march_c_minus(), march::algorithms::march_ss()}) {
+    for (const OrderGeo& geo : kOrderGeos) {
+      SessionConfig cfg =
+          grid_config(Mode::kLowPowerTest, geo.rows, geo.cols, geo.w);
+      const auto library = faults::standard_fault_library(cfg.geometry);
+      for (const auto& [name, order] : non_wlawl_orders(cfg.geometry)) {
+        cfg.order = order;
+        for (const auto& spec : library)
+          expect_session_parity(cfg, order_test, &spec,
+                                order_test.name() + " " + name + " " +
+                                    std::to_string(geo.rows) + "x" +
+                                    std::to_string(geo.cols) + " " +
+                                    spec.describe());
+      }
     }
   }
 }
@@ -408,10 +468,10 @@ void expect_traces_identical(const power::TraceSummary& a,
 }
 
 // Attaching a trace sink must not move a single bit of the scalar totals
-// (the cycle-accurate path switches from the register-accumulator batch
-// executor to the per-cycle path — the documented-identical route), and
-// the two column engines, which emit the same per-source event sequences
-// at the same cycles, must produce bit-identical traces.
+// (the batch executor additionally folds the trace's window and element
+// blocks through the same addition sequences), and the two column engines,
+// which emit the same per-source event sequences at the same cycles, must
+// produce bit-identical traces.
 TEST(BitslicedParity, TracingKeepsTotalsBitIdenticalAndTracesEngineEqual) {
   struct Case {
     const char* name;
@@ -429,7 +489,7 @@ TEST(BitslicedParity, TracingKeepsTotalsBitIdenticalAndTracesEngineEqual) {
        Mode::kLowPowerTest, true},
   };
   for (const Case& c : cases) {
-    SessionResult traced[2];
+    SessionResult traced[2], rerun[2];
     for (int m = 0; m < 2; ++m) {
       SessionConfig cfg = grid_config(c.mode, 12, 24);
       cfg.row_transition_restore = c.restore;
@@ -438,7 +498,11 @@ TEST(BitslicedParity, TracingKeepsTotalsBitIdenticalAndTracesEngineEqual) {
       const SessionResult untraced = TestSession(cfg).run(c.test);
       cfg.trace = power::TraceConfig{.window_cycles = 16,
                                      .keep_windows = true};
-      traced[m] = TestSession(cfg).run(c.test);
+      TestSession session(cfg);
+      traced[m] = session.run(c.test);
+      // A second run on the same session: the meter, and with it the
+      // trace's time axis, restarts while the array's clock runs on.
+      rerun[m] = session.run(c.test);
       const std::string where = std::string(c.name) +
                                 (m == 0 ? " ref" : " fast") +
                                 " traced-vs-untraced";
@@ -449,6 +513,11 @@ TEST(BitslicedParity, TracingKeepsTotalsBitIdenticalAndTracesEngineEqual) {
                              std::string(c.name) + " cross-engine");
     expect_traces_identical(*traced[0].trace, *traced[1].trace,
                             std::string(c.name) + " trace");
+    expect_results_identical(rerun[0], rerun[1],
+                             std::string(c.name) + " rerun cross-engine");
+    ASSERT_TRUE(rerun[0].trace && rerun[1].trace) << c.name;
+    expect_traces_identical(*rerun[0].trace, *rerun[1].trace,
+                            std::string(c.name) + " rerun trace");
   }
 }
 

@@ -234,6 +234,26 @@ TEST(Framing, RoundTripsDocumentsOverTcp) {
   const auto echo = client.receive();
   ASSERT_TRUE(echo.has_value());
   EXPECT_EQ(echo->dump(), doc.dump());  // byte-exact through the wire
+
+  // A multi-MiB frame (a merged document travels as one line) followed by
+  // back-to-back small frames: each comes back whole and in order.
+  io::JsonValue big = io::JsonValue::object();
+  big.set("blob", io::JsonValue::string(std::string(6u << 20, 'x')));
+  ASSERT_TRUE(client.send(big));
+  constexpr int kSmall = 200;
+  for (int i = 0; i < kSmall; ++i) {
+    io::JsonValue small = io::JsonValue::object();
+    small.set("i", io::JsonValue::integer(static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(client.send(small));
+  }
+  const auto big_echo = client.receive();
+  ASSERT_TRUE(big_echo.has_value());
+  EXPECT_EQ(big_echo->at("blob").as_string().size(), 6u << 20);
+  for (int i = 0; i < kSmall; ++i) {
+    const auto small_echo = client.receive();
+    ASSERT_TRUE(small_echo.has_value()) << "frame " << i;
+    EXPECT_EQ(small_echo->at("i").as_uint(), static_cast<std::uint64_t>(i));
+  }
   client.shutdown();
   listener.shutdown();
   server.join();

@@ -1,20 +1,26 @@
 // WaveformWriter: the per-cycle energy export sink.
-//  * Attaching one must not move a bit of the run's totals (it forces the
-//    per-cycle metering path, whose arithmetic is the reference).
+//  * Attaching one must not move a bit of the run's totals (the batch
+//    executor forwards every event through the meter instead of holding
+//    the totals in registers; the additions are the same).
 //  * Records reconstruct the run: per-run supply sums match the meter
 //    total (up to summation order), runs split automatically when the
 //    meter's cycle counter restarts, idle blocks stay single records.
+//  * The file does not depend on the column engine: the per-column
+//    reference and the bitsliced engine write the same bytes.
 //  * CSV and JSONL formats, and the tee with a PowerTrace — the trace
 //    summary must stay bit-identical with the waveform attached.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/session.h"
+#include "march/address_order.h"
 #include "march/algorithms.h"
 #include "power/waveform.h"
 
@@ -99,6 +105,49 @@ TEST(Waveform, TotalsUnchangedAndRecordsSumToTheMeter) {
               1e-9 * base.supply_energy_j);
   EXPECT_NEAR(sums[1], base.supply_energy_j,
               1e-9 * base.supply_energy_j);
+
+  // The column engine is one more input: a compare_modes pair (functional
+  // run, then low-power run) must write the same file under either engine,
+  // for batched rows and for orders that run one cycle() at a time.
+  const std::size_t rows = 8, groups = 24;
+  const std::optional<march::AddressOrder> orders[] = {
+      std::nullopt, march::AddressOrder::fast_row(rows, groups),
+      march::AddressOrder::pseudo_random(rows, groups, 5)};
+  for (const auto& pair_test :
+       {march::algorithms::march_c_minus(), march::algorithms::march_ss(),
+        march::algorithms::march_g_with_delays()}) {
+    for (const auto& order : orders) {
+      std::string files[2];
+      for (int m = 0; m < 2; ++m) {
+        const std::string pair_path =
+            testing::TempDir() + "sramlp_waveform_engine.csv";
+        {
+          power::WaveformWriter writer(pair_path, power::WaveformFormat::kCsv);
+          core::SessionConfig cfg;
+          cfg.geometry = {rows, groups, 1};
+          cfg.order = order;
+          cfg.column_model = m == 0 ? sram::ColumnModel::kPerColumnReference
+                                    : sram::ColumnModel::kBitslicedCohort;
+          cfg.waveform_sink = &writer;
+          core::TestSession::compare_modes(cfg, pair_test);
+        }
+        std::ifstream in(pair_path);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[m] = bytes.str();
+      }
+      const std::string where =
+          pair_test.name() + " " +
+          (order ? march::to_string(order->kind()) : "WLAWL default");
+      EXPECT_GT(files[0].size(), header.size()) << where;
+      // Byte equality, reported as an offset (the files run to megabytes).
+      const auto diff = std::mismatch(files[0].begin(), files[0].end(),
+                                      files[1].begin(), files[1].end());
+      EXPECT_TRUE(diff.first == files[0].end() && diff.second == files[1].end())
+          << where << ": the files differ from byte "
+          << (diff.first - files[0].begin());
+    }
+  }
 }
 
 TEST(Waveform, IdleBlocksStaySingleSpanRecords) {
