@@ -20,7 +20,7 @@ void print_order_grid(const AddressOrder& order) {
   std::vector<std::vector<std::size_t>> step(
       rows, std::vector<std::size_t>(cols, 0));
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const auto& a = order.at(i, march::Direction::kUp);
+    const auto a = order.at(i, march::Direction::kUp);
     step[a.row][a.col] = i;
   }
   std::printf("%s (step number at each cell):\n",

@@ -112,17 +112,10 @@ BENCHMARK(BM_MarchRun)->Arg(0)->Arg(1);
 // closed-form analytic backend.  The analytic backend must be >= 10x
 // faster (in practice it is orders of magnitude faster: O(1) vs 2.6M
 // simulated cycles per mode).
-void BM_SweepPoint512_CycleAccurate(benchmark::State& state) {
-  core::SessionConfig cfg;
-  cfg.geometry = sram::Geometry::paper_512x512();
-  const auto test = march::algorithms::march_c_minus();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::TestSession::compare_modes(cfg, test));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel("512x512 March C- PRR points/s (cycle-accurate)");
-  // execute_run paths of one point (both modes), outside the timed loop:
-  // the point's speed rests on its runs taking the whole-row path.
+// execute_run paths of one sweep point (both modes), outside the timed
+// loop: the point's speed rests on its runs taking the whole-row path.
+void report_run_paths(benchmark::State& state, const core::SessionConfig& cfg,
+                      const march::MarchTest& test) {
   std::uint64_t whole_row = 0;
   std::uint64_t loop_runs = 0;
   for (const sram::Mode mode : {sram::Mode::kFunctional,
@@ -136,6 +129,18 @@ void BM_SweepPoint512_CycleAccurate(benchmark::State& state) {
   }
   state.counters["whole_row_runs"] = static_cast<double>(whole_row);
   state.counters["loop_runs"] = static_cast<double>(loop_runs);
+}
+
+void BM_SweepPoint512_CycleAccurate(benchmark::State& state) {
+  core::SessionConfig cfg;
+  cfg.geometry = sram::Geometry::paper_512x512();
+  const auto test = march::algorithms::march_c_minus();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::TestSession::compare_modes(cfg, test));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel("512x512 March C- PRR points/s (cycle-accurate)");
+  report_run_paths(state, cfg, test);
 }
 BENCHMARK(BM_SweepPoint512_CycleAccurate)->Unit(benchmark::kMillisecond);
 
@@ -199,6 +204,7 @@ void BM_SweepPoint256_Traced(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel("256x256 March C- traced PRR points/s");
+  report_run_paths(state, cfg, test);
 }
 BENCHMARK(BM_SweepPoint256_Traced)->Unit(benchmark::kMillisecond);
 

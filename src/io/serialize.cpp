@@ -363,7 +363,8 @@ JsonValue to_json(const core::SessionConfig& config) {
     order.set("rows", JsonValue::integer(config.order->rows()));
     order.set("col_groups", JsonValue::integer(config.order->col_groups()));
     JsonValue sequence = JsonValue::array();
-    for (const march::Address& a : config.order->sequence()) {
+    for (std::size_t i = 0; i < config.order->size(); ++i) {
+      const march::Address a = config.order->at(i, march::Direction::kUp);
       JsonValue addr = JsonValue::array();
       addr.push_back(JsonValue::integer(a.row));
       addr.push_back(JsonValue::integer(a.col));

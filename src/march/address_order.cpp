@@ -26,10 +26,10 @@ AddressOrder::AddressOrder(AddressOrderKind kind, std::size_t rows,
     : kind_(kind), rows_(rows), col_groups_(col_groups),
       sequence_(std::move(sequence)) {
   SRAMLP_REQUIRE(rows_ >= 1 && col_groups_ >= 1, "empty address space");
-  // The word-line-after-word-line factory is trivially a permutation and
-  // sits on the batched hot path (sweep sessions build one per point);
-  // every other kind — including the cold pseudo-random / Gray-code /
-  // complement generators — keeps the O(n) DOF-1 scan as a safety net.
+  // The word-line-after-word-line order is computed, trivially a
+  // permutation; every other kind — including the cold pseudo-random /
+  // Gray-code / complement generators — keeps the O(n) DOF-1 scan as a
+  // safety net.
   if (kind_ != AddressOrderKind::kWordLineAfterWordLine)
     validate_permutation();
 }
@@ -48,15 +48,17 @@ void AddressOrder::validate_permutation() const {
   }
 }
 
-const Address& AddressOrder::at(std::size_t step, Direction direction) const {
-  SRAMLP_REQUIRE(step < sequence_.size(), "step beyond sequence end");
-  if (direction == Direction::kDown)
-    return sequence_[sequence_.size() - 1 - step];
-  return sequence_[step];
+Address AddressOrder::at(std::size_t step, Direction direction) const {
+  const std::size_t n = size();
+  SRAMLP_REQUIRE(step < n, "step beyond sequence end");
+  const std::size_t i = direction == Direction::kDown ? n - 1 - step : step;
+  if (kind_ == AddressOrderKind::kWordLineAfterWordLine)
+    return {i / col_groups_, i % col_groups_};
+  return sequence_[i];
 }
 
 bool AddressOrder::is_word_line_after_word_line() const {
-  // Factory-built WLAWL orders are tagged; only custom permutations need
+  // Factory-built WLAWL orders are tagged; only stored permutations need
   // the O(n) scan.
   if (kind_ == AddressOrderKind::kWordLineAfterWordLine) return true;
   for (std::size_t i = 0; i < sequence_.size(); ++i) {
@@ -69,12 +71,8 @@ bool AddressOrder::is_word_line_after_word_line() const {
 
 AddressOrder AddressOrder::word_line_after_word_line(std::size_t rows,
                                                      std::size_t col_groups) {
-  std::vector<Address> seq;
-  seq.reserve(rows * col_groups);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < col_groups; ++c) seq.push_back({r, c});
   return AddressOrder(AddressOrderKind::kWordLineAfterWordLine, rows,
-                      col_groups, std::move(seq));
+                      col_groups, {});
 }
 
 AddressOrder AddressOrder::fast_row(std::size_t rows, std::size_t col_groups) {
@@ -89,8 +87,10 @@ AddressOrder AddressOrder::fast_row(std::size_t rows, std::size_t col_groups) {
 AddressOrder AddressOrder::pseudo_random(std::size_t rows,
                                          std::size_t col_groups,
                                          std::uint64_t seed) {
-  std::vector<Address> seq =
-      word_line_after_word_line(rows, col_groups).sequence();
+  std::vector<Address> seq;
+  seq.reserve(rows * col_groups);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < col_groups; ++c) seq.push_back({r, c});
   util::Rng rng(seed);
   util::shuffle(seq, rng);
   return AddressOrder(AddressOrderKind::kPseudoRandom, rows, col_groups,

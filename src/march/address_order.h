@@ -9,6 +9,11 @@
 //
 // Addresses are (row, column-group) pairs; for bit-oriented memories the
 // column group is simply the column.
+//
+// The word-line-after-word-line order stores no sequence: step i is
+// {i / col_groups, i % col_groups}, worked out on demand, so a session over
+// a 512x512 array does not build a 262,144-entry vector.  Every other kind
+// stores its permutation and checks it at construction.
 #pragma once
 
 #include <cstddef>
@@ -59,14 +64,11 @@ class AddressOrder {
   AddressOrderKind kind() const { return kind_; }
   std::size_t rows() const { return rows_; }
   std::size_t col_groups() const { return col_groups_; }
-  std::size_t size() const { return sequence_.size(); }
-
-  /// Up-sequence view.
-  const std::vector<Address>& sequence() const { return sequence_; }
+  std::size_t size() const { return rows_ * col_groups_; }
 
   /// Address at @p step walking the sequence in @p direction
   /// (kEither walks ascending).
-  const Address& at(std::size_t step, Direction direction) const;
+  Address at(std::size_t step, Direction direction) const;
 
   /// True when the sequence equals the word-line-after-word-line order —
   /// the precondition of the low-power test mode.
@@ -82,6 +84,7 @@ class AddressOrder {
   AddressOrderKind kind_;
   std::size_t rows_;
   std::size_t col_groups_;
+  /// The up sequence; empty for kWordLineAfterWordLine (computed in at()).
   std::vector<Address> sequence_;
 };
 

@@ -5,6 +5,8 @@ namespace sramlp::march {
 AddressOrder wlawl_logical_order(const sram::AddressScramble& scramble) {
   const std::size_t rows = scramble.rows();
   const std::size_t cols = scramble.col_groups();
+  if (scramble.is_identity())
+    return AddressOrder::word_line_after_word_line(rows, cols);
   std::vector<Address> sequence;
   sequence.reserve(rows * cols);
   // Walk the PHYSICAL array row-major and record which logical address
@@ -15,8 +17,6 @@ AddressOrder wlawl_logical_order(const sram::AddressScramble& scramble) {
       sequence.push_back({logical.row, logical.col});
     }
   }
-  if (scramble.is_identity())
-    return AddressOrder::word_line_after_word_line(rows, cols);
   return AddressOrder::custom(rows, cols, std::move(sequence));
 }
 

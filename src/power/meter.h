@@ -52,13 +52,17 @@ class MeterSink {
   //
   // A sink whose accumulators are per (source, window) and per
   // (source, element) blocks of repeated additions may opt into bulk
-  // folding: the simulator's batch executor then keeps working copies of
-  // the current window/element blocks in registers — exactly like it holds
-  // the meter's raw totals — performs on each copy the additions on_add
-  // would have performed, and writes the blocks back at window boundaries
-  // and spill points.  Because each (source, window/element) accumulator
-  // receives the identical addition sequence, the folded result is
-  // bit-identical to the event stream.  Sinks that need the events
+  // folding: the simulator's batch executor then adds straight into the
+  // window/element blocks instead of delivering events.  Its per-address
+  // loop keeps working copies of the current blocks in registers — exactly
+  // like it holds the meter's raw totals — and writes them back at window
+  // boundaries and spill points; its whole-row path splits a run at window
+  // boundaries and folds each segment's repeated additions into that
+  // window's block, and the whole run's into the element block, with
+  // power::repeat_add.  Because
+  // each (source, window/element) accumulator receives the identical
+  // addition sequence, the folded result is bit-identical to the event
+  // stream.  Sinks that need the events
   // themselves (waveform writers) simply keep the default: the executor
   // then forwards every event through the meter as it happens.
 

@@ -35,9 +35,11 @@ double repeat_add_long(double acc, const double* values, std::size_t m,
 /// The sum `acc += values[0]; ...; acc += values[m - 1];` leaves after @p n
 /// repetitions, bit-identical to that loop, in O(m x binades crossed)
 /// instead of O(m x n) for non-negative values.  Taking and returning the
-/// sum by value lets callers keep it in a register.
-[[nodiscard]] inline double repeat_add(double acc, const double* values,
-                                       std::size_t m, std::uint64_t n) {
+/// sum by value lets callers keep it in a register; both overloads are
+/// always inlined, since an out-of-line copy (which GCC picked for some
+/// hot loops) spills the single value and the sum through memory.
+[[nodiscard, gnu::always_inline]] inline double repeat_add(
+    double acc, const double* values, std::size_t m, std::uint64_t n) {
   if (n > kRepeatAddPlainMax) return detail::repeat_add_long(acc, values, m, n);
   for (std::uint64_t p = 0; p < n; ++p)
     for (std::size_t i = 0; i < m; ++i) acc += values[i];
@@ -45,8 +47,8 @@ double repeat_add_long(double acc, const double* values, std::size_t m,
 }
 
 /// `acc += value`, @p n times (a period of one).
-[[nodiscard]] inline double repeat_add(double acc, double value,
-                                       std::uint64_t n) {
+[[nodiscard, gnu::always_inline]] inline double repeat_add(
+    double acc, double value, std::uint64_t n) {
   return repeat_add(acc, &value, 1, n);
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #include "power/repeat_add.h"
 #include "sram/bits.h"
@@ -955,8 +956,8 @@ void SramArray::fast_run_impl(const RunCommand& run, RunResult* out) {
   // qualifies and its reads all match, else the per-address loop below.
   // A one-address run (every cycle() call) has no repeated period for the
   // whole-row path to skip, so the loop serves it more cheaply.
-  if constexpr (kMetering != Metering::kTotals) {
-    ++run_paths_.traced;
+  if constexpr (kMetering == Metering::kEvents) {
+    ++run_paths_.events;
   } else if (faults_ != nullptr) {
     ++run_paths_.faults;
   } else if (have_mat || (lp && !virt) || run.group_count == 1) {
@@ -1488,19 +1489,238 @@ void SramArray::fast_run_impl(const RunCommand& run, RunResult* out) {
   }
 
   // --- meter ------------------------------------------------------------------
-  // Every address adds the same constants to each accumulator, except the
-  // first (the control element switches only on a group advance) and the
-  // last (no follower; the restore).  One address's additions to a source
-  // form a period that repeat_add applies to all the middle addresses at
-  // once; the accumulators are independent chains, so source by source is
-  // the per-address loop's order.
+  // One address's additions to a source form a period (RowPeriods) that
+  // repeat_add applies to all the middle addresses at once; the
+  // accumulators are independent chains, so source by source is the
+  // per-address loop's order.
+  const std::size_t ops = run.op_count;
+  const RowPeriods& per = row_periods(
+      run, !last_col_group_ || *last_col_group_ != run.first_group);
+
+  // Operations [ob, oe) of @p times successive addresses of one kind,
+  // added to the accumulator block @p chain: every source, or with
+  // @p supply_only the supply-drawn ones (a trace's blocks, like acc()).
+  const auto apply = [&](double* chain, bool supply_only, std::size_t kind,
+                         std::size_t ob, std::size_t oe, std::uint64_t times) {
+    const auto& adds = per.adds[kind];
+    const std::uint32_t* const start = per.start[kind].data();
+    for (std::size_t i = 0; i < power::kEnergySourceCount; ++i) {
+      const std::uint32_t b = start[ob * power::kEnergySourceCount + i];
+      const std::uint32_t e = start[oe * power::kEnergySourceCount + i];
+      if (b == e || (supply_only && !power::kEnergySourceInfo[i].supply_drawn))
+        continue;
+      chain[i] = repeat_add(chain[i], adds[i].data() + b, e - b, times);
+    }
+  };
+  const auto kind_of = [addrs](std::uint64_t k) {
+    return k == 0             ? RowPeriods::kFirst
+           : k + 1 == addrs ? RowPeriods::kLast
+                            : RowPeriods::kMiddle;
+  };
+  // The run's cycles [c0, c1): a partial address's head, the whole
+  // addresses (the middle ones as one repeated period), a partial
+  // address's tail.
+  const auto apply_cycles = [&](double* chain, bool supply_only,
+                                std::uint64_t c0, std::uint64_t c1) {
+    std::uint64_t k = c0 / ops;
+    if (const std::size_t o = c0 % ops; o != 0) {
+      const auto oe =
+          static_cast<std::size_t>(std::min<std::uint64_t>(ops, o + c1 - c0));
+      apply(chain, supply_only, kind_of(k), o, oe, 1);
+      if (oe < ops) return;  // the segment ends inside this address
+      ++k;
+    }
+    const std::uint64_t k_end = c1 / ops;  // whole addresses: [k, k_end)
+    if (k == 0 && k_end > 0) {
+      apply(chain, supply_only, RowPeriods::kFirst, 0, ops, 1);
+      k = 1;
+    }
+    const std::uint64_t mid_end = std::min<std::uint64_t>(k_end, addrs - 1);
+    if (k < mid_end) {
+      apply(chain, supply_only, RowPeriods::kMiddle, 0, ops, mid_end - k);
+      k = mid_end;
+    }
+    if (k < k_end) apply(chain, supply_only, RowPeriods::kLast, 0, ops, 1);
+    if (const auto tail = static_cast<std::size_t>(c1 % ops); tail != 0)
+      apply(chain, supply_only, kind_of(k_end), 0, tail, 1);
+  };
+
+  // Low-power decay terms differ per address.  Address k recharges its
+  // follower out of the row's pre-op cohort on its first cycle, k * ops
+  // cycles after the row entry (this run's first cycle); the restore, on
+  // the run's last cycle, recharges every other group, in column order, out
+  // of the post-op cohort that began decaying the cycle after the group's
+  // last operation.  No period feeds the chains they go to.
+  const std::uint64_t cycles = addrs * ops;
+  const std::uint64_t restore_cycle = cycle_ + cycles - 1;
+  const std::size_t last_group = run.descending ? 0 : addrs - 1;
+  const auto restore_elapsed = [&](std::size_t gi) -> std::uint64_t {
+    const std::size_t scan_index = run.descending ? run.first_group - gi : gi;
+    const std::uint64_t begin = cycle_ + ops * (scan_index + 1);
+    return begin >= restore_cycle ? 0 : restore_cycle - begin;
+  };
+
   auto& totals = meter_.raw_totals();
-  const bool first_group_advance =
-      !last_col_group_ || *last_col_group_ != run.first_group;
-  const auto add_addresses = [&](std::size_t k, std::uint64_t times) {
-    for (auto& seq : period_) seq.clear();
+  apply_cycles(totals.data(), false, 0, cycles);
+
+  // The decay chains, folded in locals (kept in registers, not reloaded
+  // through the meter on every address).  With a trace, the supply-drawn
+  // recharges also go to the window of the cycle where the loop charges
+  // them — an address's follower recharge on its first cycle, the
+  // restore's on the run's last — and to the element block.
+  double stress = totals[I(EnergySource::kBitlineDecayStress)];
+  double equiv_pre = stats_.decay_stress_equiv_pre_op;
+  double equiv_post = stats_.decay_stress_equiv_post_op;
+  double next = totals[I(EnergySource::kPrechargeNextColumn)];
+  double restore = totals[I(EnergySource::kRowTransitionRestore)];
+  double elem_next = 0.0;
+  double elem_restore = 0.0;
+  // Follower terms of addresses [k_begin, k_end), then the restore's if
+  // @p with_restore; @p win is the window block when @p traced.  The
+  // untraced instantiation is the bare loop of the untraced run.
+  const auto fold_decay = [&](auto traced, std::uint64_t k_begin,
+                              std::uint64_t k_end, bool with_restore,
+                              double* win) {
+    constexpr bool kTraced = decltype(traced)::value;
+    double s = stress, q = equiv_pre, r = next, er = elem_next, wr = 0.0;
+    // Inlined by force: an out-of-line copy would keep the chains in
+    // memory instead of registers.
+    const auto fold = [&](std::uint64_t elapsed)
+                          __attribute__((always_inline)) {
+      const CohortEval ev = eval_elapsed(elapsed);
+      if (ev.stress_j > 0.0) s = repeat_add(s, ev.stress_j, w);
+      q = repeat_add(q, ev.equiv, w);
+      if (ev.dv > 0.0) {
+        r = repeat_add(r, ev.recharge_e, w);
+        if constexpr (kTraced) {
+          wr = repeat_add(wr, ev.recharge_e, w);
+          er = repeat_add(er, ev.recharge_e, w);
+        }
+      }
+    };
+    if constexpr (kTraced) wr = win[I(EnergySource::kPrechargeNextColumn)];
+    for (std::uint64_t k = k_begin; k < k_end; ++k) fold(k * ops);
+    equiv_pre = q;
+    next = r;
+    elem_next = er;
+    if constexpr (kTraced) win[I(EnergySource::kPrechargeNextColumn)] = wr;
+    if (with_restore && run.restore_last) {
+      q = equiv_post;
+      r = restore;
+      er = elem_restore;
+      if constexpr (kTraced)
+        wr = win[I(EnergySource::kRowTransitionRestore)];
+      for (std::size_t gi = 0; gi < addrs; ++gi)
+        if (gi != last_group) fold(restore_elapsed(gi));
+      equiv_post = q;
+      restore = r;
+      elem_restore = er;
+      if constexpr (kTraced) win[I(EnergySource::kRowTransitionRestore)] = wr;
+    }
+    stress = s;
+  };
+
+  power::MeterSink* const sink = meter_.sink();
+  if (sink == nullptr) {
+    if (lp) fold_decay(std::false_type{}, 0, addrs - 1, true, nullptr);
+  } else {
+    // A bulk-fold sink (the loop's kFolded case; raw-event sinks never get
+    // here) takes the supply-drawn additions into its window and element
+    // blocks.  The element block, like the totals, receives the whole
+    // run's sequence.  The run's cycles split at window boundaries into
+    // segments, and each window's block receives its segment's additions:
+    // the part of the sequence that falls in the window.  A block is valid
+    // only until the next call into the sink.
+    double* element = sink->bulk_element_slots();
+    apply_cycles(element, true, 0, cycles);
+    elem_next = element[I(EnergySource::kPrechargeNextColumn)];
+    elem_restore = element[I(EnergySource::kRowTransitionRestore)];
+    const std::uint64_t width = sink->bulk_window_cycles();
+    const std::uint64_t meter_cycle = meter_.cycles();
+    // A whole window of middle addresses that starts empty ends with the
+    // same period-fed slots as every other such window whose first cycle
+    // is the same operation, so those are worked out once per run.
+    using Block = std::array<double, power::kEnergySourceCount>;
+    std::vector<std::optional<Block>> repeated;
+    for (std::uint64_t c0 = 0; c0 < cycles;) {
+      const std::uint64_t at = meter_cycle + c0;
+      const std::uint64_t c1 = c0 + std::min(cycles - c0, width - at % width);
+      double* const win = sink->bulk_window_slots(at / width);
+      bool empty = c1 - c0 == width && c0 >= ops && c1 + ops <= cycles;
+      for (std::size_t i = 0; empty && i < power::kEnergySourceCount; ++i)
+        empty = win[i] == 0.0;
+      if (empty && repeated.empty()) repeated.resize(ops);
+      std::optional<Block>* const memo =
+          empty ? &repeated[c0 % ops] : nullptr;
+      if (memo != nullptr && memo->has_value()) {
+        std::copy_n((*memo)->begin(), power::kEnergySourceCount, win);
+      } else {
+        apply_cycles(win, true, c0, c1);
+        if (memo != nullptr) {
+          memo->emplace();
+          std::copy_n(win, power::kEnergySourceCount, (*memo)->begin());
+        }
+      }
+      if (lp)
+        fold_decay(std::true_type{}, (c0 + ops - 1) / ops,
+                   std::min<std::uint64_t>((c1 + ops - 1) / ops, addrs - 1),
+                   c1 == cycles, win);
+      c0 = c1;
+    }
+    element = sink->bulk_element_slots();
+    element[I(EnergySource::kPrechargeNextColumn)] = elem_next;
+    element[I(EnergySource::kRowTransitionRestore)] = elem_restore;
+  }
+
+  if (lp) {
+    totals[I(EnergySource::kBitlineDecayStress)] = stress;
+    totals[I(EnergySource::kPrechargeNextColumn)] = next;
+    totals[I(EnergySource::kRowTransitionRestore)] = restore;
+    stats_.decay_stress_equiv_pre_op = equiv_pre;
+    stats_.decay_stress_equiv_post_op = equiv_post;
+    if (run.restore_last) ++stats_.restore_cycles;
+    stats_.full_res_column_cycles +=
+        (addrs - 1) * w * (ops + (run.restore_last ? 1 : 0));
+  } else {
+    stats_.full_res_column_cycles += cycles * (g.cols - w);
+  }
+  stats_.reads += reads_per_addr * addrs;
+  stats_.writes += (ops - reads_per_addr) * addrs;
+  stats_.cycles += cycles;
+  meter_.tick_cycles(cycles);
+  cycle_ += cycles;
+  return true;
+}
+
+const SramArray::RowPeriods& SramArray::row_periods(
+    const RunCommand& run, bool first_group_advance) {
+  const std::size_t w = config_.geometry.word_width;
+  const std::size_t addrs = run.group_count;
+  const std::size_t ops = run.op_count;
+  const bool lp = config_.mode == Mode::kLowPowerTest;
+  RowPeriods& per = periods_;
+  bool same_shape = per.valid && per.lp == lp &&
+                    per.restore_last == run.restore_last &&
+                    per.first_group_advance == first_group_advance &&
+                    per.addrs == addrs && per.reads.size() == ops;
+  for (std::size_t o = 0; same_shape && o < ops; ++o)
+    same_shape = per.reads[o] == run.ops[o].is_read;
+  if (same_shape) return per;
+
+  per.valid = true;
+  per.lp = lp;
+  per.restore_last = run.restore_last;
+  per.first_group_advance = first_group_advance;
+  per.addrs = addrs;
+  per.reads.resize(ops);
+  for (std::size_t o = 0; o < ops; ++o) per.reads[o] = run.ops[o].is_read;
+  for (std::size_t kind = 0; kind < 3; ++kind) {
+    auto& adds = per.adds[kind];
+    auto& start = per.start[kind];
+    for (auto& seq : adds) seq.clear();
+    start.resize((ops + 1) * power::kEnergySourceCount);
     const auto put = [&](EnergySource s, double e, std::size_t count) {
-      auto& seq = period_[I(s)];
+      auto& seq = adds[static_cast<std::size_t>(s)];
       // Most puts are one addition; push_back keeps them off the generic
       // fill-insert path.
       if (count == 1)
@@ -1508,8 +1728,13 @@ void SramArray::fast_run_impl(const RunCommand& run, RunResult* out) {
       else
         seq.insert(seq.end(), count, e);
     };
-    const bool last = k + 1 == addrs;
-    for (std::size_t o = 0; o < run.op_count; ++o) {
+    const bool first = kind == RowPeriods::kFirst;
+    const bool last = kind == RowPeriods::kLast;
+    for (std::size_t o = 0; o <= ops; ++o) {
+      for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
+        start[o * power::kEnergySourceCount + i] =
+            static_cast<std::uint32_t>(adds[i].size());
+      if (o == ops) break;
       put(EnergySource::kWordline, e_.wordline, 1);
       put(EnergySource::kDecoder, e_.decoder, 1);
       put(EnergySource::kAddressBus, e_.address_bus, 1);
@@ -1528,7 +1753,7 @@ void SramArray::fast_run_impl(const RunCommand& run, RunResult* out) {
       if (!lp) {
         put(EnergySource::kPrechargeResFight, e_.others_res_fight, 1);
         put(EnergySource::kCellRes, e_.others_cell_res, 1);
-      } else if (last && run.restore_last && o + 1 == run.op_count) {
+      } else if (last && run.restore_last && o + 1 == ops) {
         put(EnergySource::kPrechargeResFight, e_.res_fight, (addrs - 1) * w);
         put(EnergySource::kCellRes, e_.cell_res, (addrs - 1) * w);
         put(EnergySource::kLpTestDriver, e_.lptest_driver, 1);
@@ -1537,69 +1762,12 @@ void SramArray::fast_run_impl(const RunCommand& run, RunResult* out) {
           put(EnergySource::kPrechargeResFight, e_.res_fight, w);
           put(EnergySource::kCellRes, e_.cell_res, w);
         }
-        if (o == 0 && (k != 0 || first_group_advance))
+        if (o == 0 && (!first || first_group_advance))
           put(EnergySource::kControlLogic, e_.control_element_group, 1);
       }
     }
-    for (std::size_t i = 0; i < power::kEnergySourceCount; ++i)
-      if (!period_[i].empty())
-        totals[i] = repeat_add(totals[i], period_[i].data(),
-                               period_[i].size(), times);
-  };
-  add_addresses(0, 1);
-  if (addrs > 2) add_addresses(1, addrs - 2);
-  if (addrs > 1) add_addresses(addrs - 1, 1);
-
-  const std::uint64_t cycles = addrs * run.op_count;
-  if (lp) {
-    // The decay terms differ per address: one serial pass each, folded into
-    // local copies of the chains they feed (kept in registers, not reloaded
-    // through the meter on every address).
-    double stress = totals[I(EnergySource::kBitlineDecayStress)];
-    double equiv = stats_.decay_stress_equiv_pre_op;
-    double recharge = totals[I(EnergySource::kPrechargeNextColumn)];
-    const auto fold = [&](const CohortEval& ev) {
-      if (ev.stress_j > 0.0) stress = repeat_add(stress, ev.stress_j, w);
-      equiv = repeat_add(equiv, ev.equiv, w);
-      if (ev.dv > 0.0) recharge = repeat_add(recharge, ev.recharge_e, w);
-    };
-    // Address k recharges its follower out of the row's pre-op cohort
-    // k * op_count cycles after the row entry (this run's first cycle) ...
-    for (std::size_t k = 0; k + 1 < addrs; ++k)
-      fold(eval_elapsed(k * run.op_count));
-    stats_.decay_stress_equiv_pre_op = equiv;
-    totals[I(EnergySource::kPrechargeNextColumn)] = recharge;
-    // ... and the restore, on the run's last cycle, recharges every other
-    // group, in column order, out of the post-op cohort that began decaying
-    // the cycle after the group's last operation.
-    if (run.restore_last) {
-      const std::uint64_t restore_cycle = cycle_ + cycles - 1;
-      const std::size_t last_group = run.descending ? 0 : addrs - 1;
-      equiv = stats_.decay_stress_equiv_post_op;
-      recharge = totals[I(EnergySource::kRowTransitionRestore)];
-      for (std::size_t gi = 0; gi < addrs; ++gi) {
-        if (gi == last_group) continue;
-        const std::size_t scan_index =
-            run.descending ? run.first_group - gi : gi;
-        const std::uint64_t start = cycle_ + run.op_count * (scan_index + 1);
-        fold(eval_elapsed(start >= restore_cycle ? 0 : restore_cycle - start));
-      }
-      stats_.decay_stress_equiv_post_op = equiv;
-      totals[I(EnergySource::kRowTransitionRestore)] = recharge;
-      ++stats_.restore_cycles;
-    }
-    totals[I(EnergySource::kBitlineDecayStress)] = stress;
-    stats_.full_res_column_cycles +=
-        (addrs - 1) * w * (run.op_count + (run.restore_last ? 1 : 0));
-  } else {
-    stats_.full_res_column_cycles += cycles * (g.cols - w);
   }
-  stats_.reads += reads_per_addr * addrs;
-  stats_.writes += (run.op_count - reads_per_addr) * addrs;
-  stats_.cycles += cycles;
-  meter_.tick_cycles(cycles);
-  cycle_ += cycles;
-  return true;
+  return per;
 }
 
 void SramArray::end_run(const RunCommand& run, bool virt) {

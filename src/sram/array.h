@@ -51,31 +51,37 @@
 // execute_run; cycle() hands it a run of one address and one operation.
 // A run takes one of two paths:
 //
-//   * the whole-row path, for an untraced run of more than one address
-//     with no fault model attached and no materialized column among its
-//     selected groups — in low-power mode additionally a clean whole row
-//     entered by this run, whose decay structure is then fixed by the
-//     scan.  Every read of the run is checked against the whole row at
-//     once (row_matches_pattern; a read after a write in the same element
-//     compares logical values) and only the element's last write is
-//     applied (fill_row_pattern).  Each meter accumulator receives the same
+//   * the whole-row path, for a run of more than one address with no fault
+//     model and no raw-event sink attached and no materialized column among
+//     its selected groups — in low-power mode additionally a clean whole
+//     row entered by this run, whose decay structure is then fixed by the
+//     scan.  Every read of the run is checked against the whole row at once
+//     (row_matches_pattern; a read after a write in the same element
+//     compares logical values) and only the element's last write is applied
+//     (fill_row_pattern).  Each meter accumulator receives the same
 //     constants at every address but the first and the last, so
 //     power::repeat_add skips those periods ahead bit-exactly; the
 //     low-power follower-recharge and restore decay terms differ per
 //     address and run as one serial pass over the cohort evaluation table.
-//     A run costs O(row / 64 + sources x binades crossed) in functional
-//     mode, plus O(row) for those decay terms in low-power mode.
-//   * the per-address loop, otherwise: traced runs (a meter sink is
-//     attached), runs with a fault model, one-address runs, partial rows
-//     or rows with materialized columns, and runs whose check finds a
-//     mismatch — the check returns before anything has changed.
+//     A traced run (bulk-fold sink) splits its cycles at the sink's window
+//     boundaries: each window's block takes its segment of the additions,
+//     the element block (like the totals) the whole run's, and the full
+//     windows of a row that start empty, which all end alike, are worked
+//     out once.  A run costs O(row / 64 + sources x binades crossed) in
+//     functional mode (per distinct window segment when traced), plus
+//     O(row) for the decay terms in low-power mode.
+//   * the per-address loop, otherwise.  Its fallbacks: a raw-event sink
+//     (waveform writer), a fault model, a partial row (a one-address run
+//     is one) or materialized columns, and a read the whole-row check finds
+//     mismatching — the check returns before anything has changed.
 //     run_path_counts() tells how many runs took each path.
 //
 // The loop is compiled once per kind of meter sink: none (totals held in
 // registers), a bulk-fold sink (PowerTrace: its window and element blocks
 // are folded in registers too) and a raw-event sink (waveform writer:
 // every event is forwarded through the meter, stamped with its cycle).
-// All three perform the same additions in the same order.
+// All three perform the same additions in the same order, and so does the
+// whole-row path.
 //
 // Bit-line voltages are tracked lazily (closed-form exponential decay from
 // the last capture point, memoized per integer cycle count), so a cycle
@@ -153,14 +159,14 @@ struct ArrayStats {
 /// out of ArrayStats, which result documents serialize.
 struct RunPathCounts {
   std::uint64_t whole_row = 0;
-  std::uint64_t traced = 0;    ///< loop: a meter sink is attached
+  std::uint64_t events = 0;    ///< loop: a raw-event sink is attached
   std::uint64_t faults = 0;    ///< loop: a fault model is attached
   /// loop: partial row (a one-address run is one) or materialized columns
   std::uint64_t partial = 0;
   std::uint64_t mismatch = 0;  ///< loop: the whole-row check found one
 
   std::uint64_t loop_runs() const {
-    return traced + faults + partial + mismatch;
+    return events + faults + partial + mismatch;
   }
 };
 
@@ -320,11 +326,17 @@ class SramArray {
   /// performs the identical addition sequences.
   template <Metering kMetering>
   void fast_run_impl(const RunCommand& run, RunResult* out);
-  /// The whole-row path (see file comment) for an untraced, fault-free run
-  /// without materialized columns — in low-power mode a virtual-cohort run
-  /// (see fast_run_impl).  Returns false, having changed nothing, when a
-  /// read would mismatch; otherwise sets rr->read_value.
+  /// The whole-row path (see file comment) for a fault-free run without
+  /// materialized columns, untraced or with a bulk-fold sink — in
+  /// low-power mode a virtual-cohort run (see fast_run_impl).  Returns
+  /// false, having changed nothing, when a read would mismatch; otherwise
+  /// sets rr->read_value.
   bool whole_row_run(const RunCommand& run, RunResult* rr);
+  struct RowPeriods;
+  /// The periods of a whole-row run (see RowPeriods), rebuilt only if the
+  /// run's shape differs from the last one's.
+  const RowPeriods& row_periods(const RunCommand& run,
+                                bool first_group_advance);
   /// Shared end of both fast_run paths: the deferred cohort state of a
   /// virtual-cohort run and the run-edge bookkeeping.
   void end_run(const RunCommand& run, bool virt);
@@ -379,8 +391,31 @@ class SramArray {
   /// whole detection array, which would cost a one-address run more than
   /// the rest of its bookkeeping.
   RunResult cycle_run_;
-  /// whole_row_run scratch: one address's additions, per source.
-  std::array<std::vector<double>, power::kEnergySourceCount> period_;
+  /// whole_row_run's per-address addition periods.  Every address of a
+  /// whole-row run adds the same constants to each source, except the
+  /// first (the control element switches only on a group advance) and the
+  /// last (no follower; the restore), so three periods describe the run.
+  /// They depend only on the run's shape, which the rows of one March
+  /// element share.
+  struct RowPeriods {
+    static constexpr std::size_t kFirst = 0, kMiddle = 1, kLast = 2;
+    // The run shape the periods were built for.
+    bool valid = false;
+    bool lp = false;
+    bool restore_last = false;
+    bool first_group_advance = false;
+    std::size_t addrs = 0;
+    std::vector<bool> reads;  ///< per operation
+    /// adds[kind][source]: one address's additions to the source, in
+    /// cycle order.
+    std::array<std::array<std::vector<double>, power::kEnergySourceCount>, 3>
+        adds;
+    /// start[kind][o * kEnergySourceCount + source]: where operation o's
+    /// additions to the source begin in adds[kind][source]; o == op_count
+    /// is the end.
+    std::array<std::vector<std::uint32_t>, 3> start;
+  };
+  RowPeriods periods_;
   CellFaultModel* faults_ = nullptr;
   /// Sensitive cells grouped by row (from the fault model).
   std::vector<std::vector<std::size_t>> sensitive_by_row_;

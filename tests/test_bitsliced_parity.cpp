@@ -10,6 +10,7 @@
 // reset_measurements().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <utility>
@@ -625,13 +626,16 @@ struct ThreeWayOutcome {
 /// Run @p test three ways — the per-column reference engine, the bitsliced
 /// engine's batched runs (the whole-row path wherever a run qualifies) and
 /// its per-step path (CycleAccurateBackend{batch_runs=false}) — and require
-/// all three bit-identical, cell contents included.  @p prepare runs on
-/// each fresh array before the test.
+/// all three bit-identical, cell contents and traces included.  @p prepare
+/// runs on each fresh array before the test.  @p runs > 1 runs the test
+/// again on the same session (the meter, and a trace's time axis, restart
+/// while the array's clock runs on).
 ThreeWayOutcome expect_three_way_parity(
     SessionConfig config, const march::MarchTest& test,
     const std::string& where,
-    const std::function<void(SramArray&)>& prepare = nullptr) {
-  SessionResult results[3];
+    const std::function<void(SramArray&)>& prepare = nullptr,
+    int runs = 1) {
+  std::vector<SessionResult> results[3];
   std::vector<bool> cells[3];
   ThreeWayOutcome outcome;
   for (int p = 0; p < 3; ++p) {
@@ -641,17 +645,30 @@ ThreeWayOutcome expect_three_way_parity(
     if (prepare) prepare(session.array());
     engine::CycleAccurateBackend backend(session.array(),
                                          /*batch_runs=*/p != 2);
-    results[p] = session.run(test, backend);
+    for (int r = 0; r < runs; ++r)
+      results[p].push_back(session.run(test, backend));
     if (p == 1) outcome.paths = session.array().run_path_counts();
     for (std::size_t r = 0; r < config.geometry.rows; ++r)
       for (std::size_t c = 0; c < config.geometry.cols; ++c)
         cells[p].push_back(session.array().peek(r, c));
   }
-  expect_results_identical(results[0], results[1], where + " batched");
-  expect_results_identical(results[0], results[2], where + " per-step");
+  for (int r = 0; r < runs; ++r) {
+    const std::string run = runs > 1 ? " run " + std::to_string(r) : "";
+    for (int p = 1; p < 3; ++p) {
+      const std::string how =
+          where + (p == 1 ? " batched" : " per-step") + run;
+      expect_results_identical(results[0][r], results[p][r], how);
+      EXPECT_EQ(results[0][r].trace.has_value(),
+                results[p][r].trace.has_value())
+          << how;
+      if (results[0][r].trace && results[p][r].trace)
+        expect_traces_identical(*results[0][r].trace, *results[p][r].trace,
+                                how + " trace");
+    }
+  }
   EXPECT_EQ(cells[0], cells[1]) << where << " batched (cell contents)";
   EXPECT_EQ(cells[0], cells[2]) << where << " per-step (cell contents)";
-  outcome.mismatches = results[0].mismatches;
+  outcome.mismatches = results[0][0].mismatches;
   return outcome;
 }
 
@@ -688,7 +705,7 @@ TEST(BitslicedParity, WholeRowPathMatchesReferenceAndPerStep) {
               total.whole_row += paths.whole_row;
               total.partial += paths.partial;
               total.mismatch += paths.mismatch;
-              total.traced += paths.traced;
+              total.events += paths.events;
               total.faults += paths.faults;
             }
           }
@@ -703,7 +720,57 @@ TEST(BitslicedParity, WholeRowPathMatchesReferenceAndPerStep) {
   // own test below.
   EXPECT_GT(total.whole_row, total.loop_runs());
   EXPECT_GT(total.partial, 0u);
-  EXPECT_EQ(total.mismatch + total.traced + total.faults, 0u);
+  EXPECT_EQ(total.mismatch + total.events + total.faults, 0u);
+
+  // Traced: the window series, every element's energies and the totals
+  // must match the reference and the per-step path to the bit for windows
+  // that split runs mid-address (1, 2, 3, 5), just miss or just overrun a
+  // row (op_count x groups -+ 1) and cover the whole test (4 x words), and
+  // on a second run of the same session.  Tracing must not move a single
+  // run off the whole-row path: the traced batched run takes it exactly as
+  // often as the untraced one, though most of these windows split row
+  // runs.
+  std::uint64_t traced_whole_row = 0;
+  for (const auto& test : {march::algorithms::march_c_minus(),
+                           march::algorithms::march_ss()}) {
+    std::size_t ops = 0;
+    for (const auto& element : test.elements())
+      ops = std::max(ops, element.ops.size());
+    for (const Geo& geo : geos) {
+      for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
+        for (const bool restore : {true, false}) {
+          if (mode == Mode::kFunctional && !restore) continue;
+          SessionConfig cfg = grid_config(mode, geo.rows, geo.cols, geo.w);
+          cfg.row_transition_restore = restore;
+          const std::uint64_t groups = cfg.geometry.col_groups();
+          const std::string base =
+              test.name() + " " + std::to_string(geo.rows) + "x" +
+              std::to_string(geo.cols) + "/w" + std::to_string(geo.w) +
+              (mode == Mode::kFunctional ? " F" : " LP") +
+              (restore ? "" : " no-restore");
+          const sram::RunPathCounts untraced =
+              expect_three_way_parity(cfg, test, base + " untraced", nullptr,
+                                      2)
+                  .paths;
+          for (const std::uint64_t width :
+               {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+                std::uint64_t{5}, ops * groups - 1, ops * groups + 1,
+                4 * cfg.geometry.words()}) {
+            cfg.trace = power::TraceConfig{.window_cycles = width,
+                                           .keep_windows = true};
+            const std::string where =
+                base + " window " + std::to_string(width);
+            const sram::RunPathCounts paths =
+                expect_three_way_parity(cfg, test, where, nullptr, 2).paths;
+            EXPECT_EQ(paths.whole_row, untraced.whole_row) << where;
+            EXPECT_EQ(paths.events, 0u) << where;
+            traced_whole_row += paths.whole_row;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(traced_whole_row, 0u);
 }
 
 TEST(BitslicedParity, WholeRowPathFallsBackBeforeChangingAnything) {
@@ -747,7 +814,34 @@ TEST(BitslicedParity, Table1RunsTakeTheWholeRowPath) {
                   (paths.whole_row + paths.loop_runs()) * 99)
             << where << ": " << paths.whole_row << " whole-row runs, "
             << paths.loop_runs() << " loop runs";
-        EXPECT_EQ(paths.mismatch + paths.traced + paths.faults, 0u) << where;
+        EXPECT_EQ(paths.mismatch + paths.events + paths.faults, 0u) << where;
+      }
+    }
+  }
+}
+
+// Traced, as the schedule search verifies its winners: windows of 64
+// cycles split every row run; a window of 4 x words holds the whole test.
+TEST(BitslicedParity, Table1TracedRunsTakeTheWholeRowPath) {
+  for (const Mode mode : {Mode::kFunctional, Mode::kLowPowerTest}) {
+    for (const std::uint64_t width :
+         {std::uint64_t{64}, std::uint64_t{4} * 512 * 512}) {
+      for (const auto& test : march::algorithms::table1()) {
+        SessionConfig cfg = grid_config(mode, 512, 512);
+        cfg.trace = power::TraceConfig{.window_cycles = width};
+        TestSession session(cfg);
+        const SessionResult result = session.run(test);
+        const sram::RunPathCounts& paths = session.array().run_path_counts();
+        const std::string where =
+            test.name() + (mode == Mode::kFunctional ? " F" : " LP") +
+            " window " + std::to_string(width);
+        EXPECT_EQ(result.mismatches, 0u) << where;
+        ASSERT_TRUE(result.trace.has_value()) << where;
+        EXPECT_GE(paths.whole_row * 100,
+                  (paths.whole_row + paths.loop_runs()) * 99)
+            << where << ": " << paths.whole_row << " whole-row runs, "
+            << paths.loop_runs() << " loop runs";
+        EXPECT_EQ(paths.mismatch + paths.events + paths.faults, 0u) << where;
       }
     }
   }

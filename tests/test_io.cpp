@@ -245,12 +245,51 @@ TEST(Serialize, SessionConfigCustomOrderRoundTripsBySequence) {
   const auto back = io::session_config_from_json(
       JsonValue::parse(io::to_json(config).dump()));
   ASSERT_TRUE(back.order.has_value());
-  EXPECT_EQ(back.order->sequence(), config.order->sequence());
+  ASSERT_EQ(back.order->size(), config.order->size());
+  for (std::size_t i = 0; i < config.order->size(); ++i)
+    EXPECT_EQ(back.order->at(i, march::Direction::kUp),
+              config.order->at(i, march::Direction::kUp))
+        << "step " << i;
   // An unset order stays unset.
   config.order.reset();
   const auto bare = io::session_config_from_json(
       JsonValue::parse(io::to_json(config).dump()));
   EXPECT_FALSE(bare.order.has_value());
+}
+
+// The word-line-after-word-line order is computed, not stored; a config
+// that names it explicitly must still serialize its full sequence, to the
+// same bytes as when the order was a stored vector.
+TEST(Serialize, ExplicitWlawlOrderKeepsItsBytes) {
+  core::SessionConfig config;
+  config.geometry = {2, 6, 2};
+  config.order = march::AddressOrder::word_line_after_word_line(2, 3);
+  const std::string expected =
+      R"json({"geometry":{"rows":2,"cols":6,"word_width":2},)json"
+      R"json("tech":{"vdd":1.6000000000000001,"clock_period":3e-09,)json"
+      R"json("c_bitline":2.9999999999999998e-13,)json"
+      R"json("c_cellnode":2.0000000000000002e-15,)json"
+      R"json("c_wordline_per_column":1.0000000000000001e-15,)json"
+      R"json("read_swing":0.40000000000000002,)json"
+      R"json("res_fight_current":2.5999999999999998e-05,)json"
+      R"json("decay_tau_cycles":3,)json"
+      R"json("discharged_threshold":0.050000000000000003,)json"
+      R"json("e_decoder_per_address_bit":4.0000000000000001e-13,)json"
+      R"json("e_addressbus_per_bit":4.0000000000000001e-13,)json"
+      R"json("e_clock_tree":6.0000000000000003e-12,)json"
+      R"json("e_sense_amp_per_bit":3.0000000000000001e-12,)json"
+      R"json("e_write_driver_per_bit":4.9999999999999997e-12,)json"
+      R"json("e_data_io_per_bit":3.9999999999999999e-12,)json"
+      R"json("e_control_base":1.5000000000000001e-12,)json"
+      R"json("c_control_element":5.0000000000000004e-16},)json"
+      R"json("mode":"functional",)json"
+      R"json("order":{"kind":"word-line-after-word-line","rows":2,)json"
+      R"json("col_groups":3,"sequence":[[0,0],[0,1],[0,2],[1,0],[1,1],[1,)json"
+      R"json(2]]},"row_transition_restore":true,"strict_lp_order":false,)json"
+      R"json("invert_background":false,"background":"solid0",)json"
+      R"json("wordline_duty":0.5,"swap_threshold_frac":0.5,)json"
+      R"json("column_model":"bitsliced_cohort"})json";
+  EXPECT_EQ(io::to_json(config).dump(), expected);
 }
 
 TEST(Serialize, SweepGridRoundTrip) {

@@ -82,12 +82,11 @@ TEST(ScrambleOrder, PhysicalImageIsWordLineAfterWordLine) {
     const auto order = march::wlawl_logical_order(scramble);
     // Mapping each logical address through the scramble must reproduce the
     // physical row-major walk.
-    std::size_t i = 0;
-    for (const auto& logical : order.sequence()) {
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto logical = order.at(i, march::Direction::kUp);
       const auto p = scramble.to_physical(logical.row, logical.col);
       EXPECT_EQ(p.row, i / scramble.col_groups());
       EXPECT_EQ(p.col, i % scramble.col_groups());
-      ++i;
     }
     // And it is still a legal DOF-1 permutation (validated on build) that
     // is generally NOT the canonical logical order.

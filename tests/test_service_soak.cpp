@@ -7,9 +7,9 @@
 //    leases requeued onto the survivors.
 //
 //  * Scheduling — with one deliberately slow worker out of four, the
-//    slow worker just steals fewer shards than each fast one, and the
-//    job finishes inside the critical path a static four-way plan would
-//    have by design (the slow worker's fixed quarter of the grid).
+//    slow worker computes less than the fixed quarter of the grid a
+//    static four-way plan would give it, and the job finishes inside that
+//    plan's critical path.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -146,8 +146,12 @@ TEST(ServiceSoak, ConcurrentSubmittersSurviveAWorkerDeath) {
 
 // The scheduling claim: 4 workers, one of them slow, a 40-point job.  A
 // static plan would give the slow worker a fixed quarter of the grid (10
-// points at 5 ms each) and the job would wait for it; the steal queue
-// lets the slow worker hold only one 2-point shard at a time.
+// points at 50 ms each) and the job would wait for it; the steal queue
+// lets the slow worker hold only one 2-point shard at a time.  The slow
+// point is long on purpose: while the slow worker sits on its first shard
+// (100 ms), the fast ones finish the rest of the grid unless the OS starves
+// all three for that long, so neither claim hangs on thread scheduling.
+// (Which fast worker steals how much does, so it is printed, not checked.)
 TEST(ServiceSoak, StealQueueBeatsStaticPlanWithOneSlowWorker) {
   JobSpec job;
   job.kind = JobSpec::Kind::kSweep;
@@ -160,7 +164,7 @@ TEST(ServiceSoak, StealQueueBeatsStaticPlanWithOneSlowWorker) {
                          march::algorithms::march_c_minus()};
   ASSERT_EQ(job.size(), 40u);
   const std::string reference = single_document(job);
-  constexpr std::uint64_t kSlowPointUs = 5000;  // a 5 ms/point slow host
+  constexpr std::uint64_t kSlowPointUs = 50000;  // a 50 ms/point slow host
   constexpr std::size_t kWorkers = 4;
   // The static plan's designed critical path: the slow worker's quarter.
   const double static_critical_seconds =
@@ -202,9 +206,9 @@ TEST(ServiceSoak, StealQueueBeatsStaticPlanWithOneSlowWorker) {
   std::printf("scheduling: points stolen per worker (worker 0 slow): "
               "%zu %zu %zu %zu\n",
               stolen[0], stolen[1], stolen[2], stolen[3]);
-  for (std::size_t w = 1; w < kWorkers; ++w)
-    EXPECT_LT(stolen[0], stolen[w])
-        << "the slow worker should steal fewer points than fast worker " << w;
+  EXPECT_EQ(stolen[0] + stolen[1] + stolen[2] + stolen[3], job.size());
+  EXPECT_LT(stolen[0], job.size() / kWorkers)
+      << "the slow worker should compute less than a static plan's quarter";
   // Wall-clock claims are meaningless under sanitizer instrumentation,
   // which taxes the sync-heavy steal protocol far more than the compute.
   // The sanitized build still runs the scheduler above (that is the race
