@@ -208,14 +208,9 @@ void BM_SweepPoint256_Traced(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepPoint256_Traced)->Unit(benchmark::kMillisecond);
 
-// The SIMD dispatch seam's cohort-evaluation kernel at each level the host
-// supports (arg = Level: 0 scalar, 1 NEON, 2 AVX2, 3 AVX-512).  Levels
-// beyond the host's capability are clamped by set_level_for_testing, and a
-// level the build carries no code for dispatches to scalar, so the label
-// records which kernel actually ran.
-void BM_CohortEvalSimd(benchmark::State& state) {
-  sram::simd::set_level_for_testing(
-      static_cast<sram::simd::Level>(state.range(0)));
+// The cohort-evaluation kernel that fills the bitsliced engine's
+// per-elapsed-cycle table: 1024 decay factors per call.
+void BM_CohortEvalBatch(benchmark::State& state) {
   constexpr std::size_t kBatch = 1024;
   std::vector<double> factors(kBatch), v_low(kBatch), stress(kBatch),
       dv(kBatch), equiv(kBatch), recharge(kBatch);
@@ -235,19 +230,14 @@ void BM_CohortEvalSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
-  state.SetLabel(std::string("cohort evals/s (") +
-                 sram::simd::level_name(sram::simd::active_level()) + ")");
-  sram::simd::reset_level_for_testing();
+  state.SetLabel("cohort evals/s");
 }
-BENCHMARK(BM_CohortEvalSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_CohortEvalBatch);
 
-// The schedule search's batch-scoring kernel at each dispatch level
-// (arg = Level, clamped like BM_CohortEvalSimd): 1024 candidate lanes of
-// 12 slots each — a March C- schedule with half its slots idle windows —
-// through the branchless energy/cycles/peak-window walk.
+// The schedule search's batch-scoring kernel: 1024 candidate lanes of 12
+// slots each — a March C- schedule with half its slots idle windows —
+// through the energy/cycles/peak-window walk.
 void BM_SearchScoreBatch(benchmark::State& state) {
-  sram::simd::set_level_for_testing(
-      static_cast<sram::simd::Level>(state.range(0)));
   constexpr std::size_t kLanes = 1024;
   constexpr std::size_t kSlots = 12;
   std::vector<double> rates(kSlots * kLanes), cycles(kSlots * kLanes),
@@ -268,15 +258,13 @@ void BM_SearchScoreBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kLanes));
-  state.SetLabel(std::string("candidate scores/s (") +
-                 sram::simd::level_name(sram::simd::active_level()) + ")");
-  sram::simd::reset_level_for_testing();
+  state.SetLabel("candidate scores/s");
 }
-BENCHMARK(BM_SearchScoreBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SearchScoreBatch);
 
 // The whole evaluator path the beam search pays per candidate at the
 // paper's full 512x512 scale: validity-preserved random candidates of
-// March C- (reorders + idle windows), SoA packing + SIMD scoring via
+// March C- (reorders + idle windows), SoA packing + batch scoring via
 // ScheduleEvaluator::score.  The ROADMAP target is >= 1M candidate
 // scores/s single-threaded; restarts fan out on top of this.
 void BM_SearchCandidatesPerSec(benchmark::State& state) {
@@ -455,13 +443,13 @@ BENCHMARK(BM_DistWorkerShard)->Unit(benchmark::kMillisecond);
 // bare steal-queue coordination cost per shard.
 
 // A cold submit end to end, 2 worker threads over real sockets.  The
-// whole-job LRU is pinned to one entry and two jobs with distinct
-// fingerprints (same 8 points of compute — the algorithm list is just
-// reordered) alternate, so every iteration misses the cache and runs.
+// result cache keeps nothing (no memory tier, no spill file) and two jobs
+// with distinct fingerprints (same 8 points of compute — the algorithm
+// list is just reordered) alternate, so every iteration misses the cache
+// and runs.
 void BM_ServiceSubmitCold(benchmark::State& state) {
   dist::Service::Options options;
-  options.cache.capacity = 1;
-  options.point_cache = false;
+  options.cache.capacity = 0;
   dist::Service service(options);
   service.start();
   const std::string address = service.address();
@@ -632,12 +620,10 @@ std::string cpu_model() {
 }  // namespace
 
 // BENCHMARK_MAIN plus a host fingerprint in the JSON context: the library
-// records num_cpus itself; cpu_model and simd_level complete what
-// ci/compare_bench.py compares against the baseline's host block.
+// records num_cpus itself; cpu_model completes what ci/compare_bench.py
+// compares against the baseline's host block.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("cpu_model", cpu_model());
-  benchmark::AddCustomContext(
-      "simd_level", sram::simd::level_name(sram::simd::active_level()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

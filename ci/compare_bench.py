@@ -3,10 +3,10 @@
 
 Usage: compare_bench.py CURRENT.json [BASELINE.json]
 
-Prints the host fingerprint (CPU model, num_cpus, active SIMD level) of both
-files, with a GitHub Actions ::notice:: when they differ, then one line per
-benchmark with the slowdown ratio, and emits a ::warning:: annotation for
-anything past the regression threshold.
+Prints the host fingerprint (CPU model, num_cpus) of both files, with a
+GitHub Actions ::notice:: when they differ, then one line per benchmark with
+the slowdown ratio, and emits a ::warning:: annotation for anything past the
+regression threshold.
 Shared CI runners are far too noisy to gate a build on timings, so the
 script NEVER fails the job: it always exits 0 unless the inputs are
 unreadable (a crash upstream should already have failed the run step).
@@ -19,9 +19,9 @@ THRESHOLD = 1.5  # warn past a 1.5x slowdown vs the baseline
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# bench_perf adds cpu_model and simd_level to the JSON context; the library
-# records num_cpus.  The baseline keeps the same keys in its "host" block.
-HOST_KEYS = ("cpu_model", "num_cpus", "simd_level")
+# bench_perf adds cpu_model to the JSON context; the library records
+# num_cpus.  The baseline keeps the same keys in its "host" block.
+HOST_KEYS = ("cpu_model", "num_cpus")
 
 
 def load(path):

@@ -496,9 +496,8 @@ void Service::handle_submit(const std::shared_ptr<Connection>& conn,
   std::vector<std::size_t> uncached;
   uncached.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
-    std::optional<std::string> payload;
-    if (options_.point_cache)
-      payload = cache_.get(point_fingerprint(active->job, i));
+    const std::optional<std::string> payload =
+        cache_.get(point_fingerprint(active->job, i));
     if (!payload) {
       uncached.push_back(i);
       continue;
@@ -724,9 +723,8 @@ bool Service::deliver_result(const io::JsonValue& message) {
   ServiceMetrics::get().points_executed.inc();
   // Cached on delivery, not at job end, so a killed run's finished points
   // survive in the spill for the rerun.
-  if (options_.point_cache)
-    cache_.put(point_fingerprint(job->job, index),
-               point_payload(job->result, index));
+  cache_.put(point_fingerprint(job->job, index),
+             point_payload(job->result, index));
   io::JsonValue line = client_line(message);
   for (const auto& listener : job->listeners) listener->send(line);
   job->replay.push_back(std::move(line));

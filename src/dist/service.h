@@ -82,12 +82,11 @@ class Service {
     std::size_t max_shards_per_job = 512;
     /// Re-runs granted to a failed shard before the job is failed.
     unsigned shard_retries = 1;
-    /// Result cache tiers (capacity + optional spill file).
+    /// Result cache tiers (capacity + optional spill file).  The cache
+    /// holds whole jobs and, as they are delivered, individual work items,
+    /// so new jobs that overlap old ones (and reruns of killed jobs) skip
+    /// the overlap.
     ResultCache::Options cache;
-    /// Also cache individual work items as they are delivered, so new
-    /// jobs that overlap old ones (and reruns of killed jobs) skip the
-    /// overlap.
-    bool point_cache = true;
   };
 
   explicit Service(const Options& options);

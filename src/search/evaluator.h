@@ -14,9 +14,9 @@
 // segments: total energy, total cycles and the fixed-window peak profile
 // (power::PowerTrace window semantics, including the partial trailing
 // window).  Batches of candidates are laid out candidate-per-lane in a
-// slot-major SoA and scored by the SIMD search_score_batch kernel
-// (sram/simd.h) — bit-identical to its scalar spec at every dispatch
-// level, so scores never depend on the machine evaluating them.
+// slot-major SoA and scored by the search_score_batch kernel
+// (sram/simd.h), whose plain IEEE-754 expression tree makes scores
+// independent of the machine evaluating them.
 #pragma once
 
 #include <cstdint>

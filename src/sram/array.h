@@ -342,7 +342,7 @@ class SramArray {
   void end_run(const RunCommand& run, bool virt);
   CohortEval eval_cohort(const Cohort& cohort) const;
   /// eval_cohort keyed by elapsed decay cycles, served from the grow-only
-  /// SIMD-filled table below (scalar closed form past the table cap).
+  /// batch-filled table below (the closed form itself past the table cap).
   /// Always inlined: the whole-row path calls it once per address, and as
   /// an out-of-line call it made low-power sessions about 20% slower.
   [[gnu::always_inline]] CohortEval eval_elapsed(
@@ -477,9 +477,9 @@ class SramArray {
   mutable std::vector<double> decay_memo_;  ///< exp factor per elapsed cycle
   /// Grow-only structure-of-arrays memo of eval_cohort by elapsed cycle:
   /// cohort evaluations depend only on (elapsed, fixed config), so one
-  /// table serves every cohort of every run.  Filled in SIMD batches
+  /// table serves every cohort of every run.  Filled in batches
   /// (simd::cohort_eval_batch) from the decay-factor memo; each entry is
-  /// bit-identical to the scalar closed form.  Capped like decay_memo_.
+  /// bit-identical to the closed form.  Capped like decay_memo_.
   struct CohortEvalTable {
     std::vector<double> v_low;
     std::vector<double> stress_j;

@@ -1,113 +1,17 @@
 #include "sram/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-
-// The vector kernels are compiled with per-function target attributes and
-// guarded by runtime dispatch, so the library still builds and runs on any
-// x86-64 (or, scalar-only, on any architecture) regardless of -march.  On
-// aarch64 ASIMD is part of the baseline ISA, so the NEON kernels need no
-// target attributes or runtime probing at all.
-#if !defined(SRAMLP_DISABLE_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SRAMLP_SIMD_X86 1
-#include <immintrin.h>
-#elif !defined(SRAMLP_DISABLE_SIMD) && defined(__aarch64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SRAMLP_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace sramlp::sram::simd {
 
-namespace {
-
-int rank(Level level) { return static_cast<int>(level); }
-
-Level min_level(Level a, Level b) { return rank(a) <= rank(b) ? a : b; }
-
-/// SRAMLP_SIMD caps (never raises) the hardware level: "scalar" pins the
-/// fallback, "avx2" disables the AVX-512 variants on capable machines.
-/// A level the build has no code for dispatches to scalar, so capping an
-/// x86 machine at "neon" is an explicit scalar pin, not an error.
-Level cap_from_env(Level hw) {
-  const char* env = std::getenv("SRAMLP_SIMD");
-  if (env == nullptr || env[0] == '\0') return hw;
-  if (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "off") == 0 ||
-      std::strcmp(env, "0") == 0)
-    return Level::kScalar;
-  if (std::strcmp(env, "neon") == 0) return min_level(hw, Level::kNeon);
-  if (std::strcmp(env, "avx2") == 0) return min_level(hw, Level::kAvx2);
-  if (std::strcmp(env, "avx512") == 0) return min_level(hw, Level::kAvx512);
-  return hw;  // unknown value: keep the detected level
-}
-
-Level detect() {
-  Level hw = Level::kScalar;
-#if defined(SRAMLP_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) hw = Level::kAvx2;
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512vpopcntdq"))
-    hw = Level::kAvx512;
-#elif defined(SRAMLP_SIMD_NEON)
-  hw = Level::kNeon;  // ASIMD is architecturally guaranteed on aarch64
-#endif
-  return cap_from_env(hw);
-}
-
-std::atomic<int> g_forced{-1};
-
-}  // namespace
-
-Level detected_level() {
-  static const Level level = detect();
-  return level;
-}
-
-Level active_level() {
-  const int forced = g_forced.load(std::memory_order_relaxed);
-  const Level detected = detected_level();
-  if (forced < 0) return detected;
-  return min_level(static_cast<Level>(forced), detected);
-}
-
-const char* level_name(Level level) {
-  switch (level) {
-    case Level::kScalar: return "scalar";
-    case Level::kNeon: return "neon";
-    case Level::kAvx2: return "avx2";
-    case Level::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
-void set_level_for_testing(Level level) {
-  g_forced.store(rank(min_level(level, detected_level())),
-                 std::memory_order_relaxed);
-}
-
-void reset_level_for_testing() {
-  g_forced.store(-1, std::memory_order_relaxed);
-}
-
 // --- cohort evaluation -------------------------------------------------------
 
-namespace {
-
-/// The executable specification: the exact expression tree of
-/// SramArray::eval_cohort, one factor at a time.  Also the remainder loop
-/// of the vector variants.
-void cohort_eval_scalar(const double* factors, std::size_t n,
-                        const CohortEvalConstants& k, double* v_low,
-                        double* stress_j, double* dv, double* equiv,
-                        double* recharge_e) {
+void cohort_eval_batch(const double* factors, std::size_t n,
+                       const CohortEvalConstants& k, double* v_low,
+                       double* stress_j, double* dv, double* equiv,
+                       double* recharge_e) {
   for (std::size_t i = 0; i < n; ++i) {
     const double v = k.vdd * factors[i];
     const double d = k.vdd - v;
@@ -119,143 +23,17 @@ void cohort_eval_scalar(const double* factors, std::size_t n,
   }
 }
 
-#ifdef SRAMLP_SIMD_X86
-
-// Lane-exact: vmulpd/vsubpd/vdivpd are correctly-rounded IEEE-754 per
-// lane, exactly like the scalar *, -, / above; the explicit intrinsics
-// also make FMA contraction impossible whatever the target flags.
-__attribute__((target("avx2"))) void cohort_eval_avx2(
-    const double* factors, std::size_t n, const CohortEvalConstants& k,
-    double* v_low, double* stress_j, double* dv, double* equiv,
-    double* recharge_e) {
-  const __m256d vdd = _mm256_set1_pd(k.vdd);
-  const __m256d vdd2 = _mm256_mul_pd(vdd, vdd);
-  const __m256d half_c = _mm256_set1_pd(k.half_c);
-  const __m256d tau = _mm256_set1_pd(k.tau_over_duty);
-  const __m256d c_vdd = _mm256_set1_pd(k.c_vdd);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d f = _mm256_loadu_pd(factors + i);
-    const __m256d v = _mm256_mul_pd(vdd, f);
-    const __m256d d = _mm256_sub_pd(vdd, v);
-    _mm256_storeu_pd(v_low + i, v);
-    _mm256_storeu_pd(
-        stress_j + i,
-        _mm256_mul_pd(half_c, _mm256_sub_pd(vdd2, _mm256_mul_pd(v, v))));
-    _mm256_storeu_pd(dv + i, d);
-    _mm256_storeu_pd(equiv + i, _mm256_div_pd(_mm256_mul_pd(tau, d), vdd));
-    _mm256_storeu_pd(recharge_e + i, _mm256_mul_pd(c_vdd, d));
-  }
-  cohort_eval_scalar(factors + i, n - i, k, v_low + i, stress_j + i, dv + i,
-                     equiv + i, recharge_e + i);
-}
-
-__attribute__((target("avx512f"))) void cohort_eval_avx512(
-    const double* factors, std::size_t n, const CohortEvalConstants& k,
-    double* v_low, double* stress_j, double* dv, double* equiv,
-    double* recharge_e) {
-  const __m512d vdd = _mm512_set1_pd(k.vdd);
-  const __m512d vdd2 = _mm512_mul_pd(vdd, vdd);
-  const __m512d half_c = _mm512_set1_pd(k.half_c);
-  const __m512d tau = _mm512_set1_pd(k.tau_over_duty);
-  const __m512d c_vdd = _mm512_set1_pd(k.c_vdd);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d f = _mm512_loadu_pd(factors + i);
-    const __m512d v = _mm512_mul_pd(vdd, f);
-    const __m512d d = _mm512_sub_pd(vdd, v);
-    _mm512_storeu_pd(v_low + i, v);
-    _mm512_storeu_pd(
-        stress_j + i,
-        _mm512_mul_pd(half_c, _mm512_sub_pd(vdd2, _mm512_mul_pd(v, v))));
-    _mm512_storeu_pd(dv + i, d);
-    _mm512_storeu_pd(equiv + i, _mm512_div_pd(_mm512_mul_pd(tau, d), vdd));
-    _mm512_storeu_pd(recharge_e + i, _mm512_mul_pd(c_vdd, d));
-  }
-  cohort_eval_scalar(factors + i, n - i, k, v_low + i, stress_j + i, dv + i,
-                     equiv + i, recharge_e + i);
-}
-
-#endif  // SRAMLP_SIMD_X86
-
-#ifdef SRAMLP_SIMD_NEON
-
-// Lane-exact like the x86 variants: vmulq_f64/vsubq_f64/vdivq_f64 are
-// correctly-rounded IEEE-754 per lane and, as explicit intrinsics, can
-// never be contracted into the fused vfmaq form.
-void cohort_eval_neon(const double* factors, std::size_t n,
-                      const CohortEvalConstants& k, double* v_low,
-                      double* stress_j, double* dv, double* equiv,
-                      double* recharge_e) {
-  const float64x2_t vdd = vdupq_n_f64(k.vdd);
-  const float64x2_t vdd2 = vmulq_f64(vdd, vdd);
-  const float64x2_t half_c = vdupq_n_f64(k.half_c);
-  const float64x2_t tau = vdupq_n_f64(k.tau_over_duty);
-  const float64x2_t c_vdd = vdupq_n_f64(k.c_vdd);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t f = vld1q_f64(factors + i);
-    const float64x2_t v = vmulq_f64(vdd, f);
-    const float64x2_t d = vsubq_f64(vdd, v);
-    vst1q_f64(v_low + i, v);
-    vst1q_f64(stress_j + i,
-              vmulq_f64(half_c, vsubq_f64(vdd2, vmulq_f64(v, v))));
-    vst1q_f64(dv + i, d);
-    vst1q_f64(equiv + i, vdivq_f64(vmulq_f64(tau, d), vdd));
-    vst1q_f64(recharge_e + i, vmulq_f64(c_vdd, d));
-  }
-  cohort_eval_scalar(factors + i, n - i, k, v_low + i, stress_j + i, dv + i,
-                     equiv + i, recharge_e + i);
-}
-
-#endif  // SRAMLP_SIMD_NEON
-
-}  // namespace
-
-void cohort_eval_batch(const double* factors, std::size_t n,
-                       const CohortEvalConstants& k, double* v_low,
-                       double* stress_j, double* dv, double* equiv,
-                       double* recharge_e) {
-#if defined(SRAMLP_SIMD_X86)
-  switch (active_level()) {
-    case Level::kAvx512:
-      cohort_eval_avx512(factors, n, k, v_low, stress_j, dv, equiv,
-                         recharge_e);
-      return;
-    case Level::kAvx2:
-      cohort_eval_avx2(factors, n, k, v_low, stress_j, dv, equiv, recharge_e);
-      return;
-    case Level::kNeon: break;  // no NEON code in an x86 build: scalar
-    case Level::kScalar: break;
-  }
-#elif defined(SRAMLP_SIMD_NEON)
-  if (active_level() != Level::kScalar) {
-    cohort_eval_neon(factors, n, k, v_low, stress_j, dv, equiv, recharge_e);
-    return;
-  }
-#endif
-  cohort_eval_scalar(factors, n, k, v_low, stress_j, dv, equiv, recharge_e);
-}
-
 // --- candidate-schedule scoring ---------------------------------------------
 
-namespace {
-
-/// The executable specification of search_score_batch, one lane at a time.
-/// @p stride is the lane count of the FULL batch (the SoA row stride); the
-/// vector variants reuse this loop for their remainder lanes by offsetting
-/// the base pointers while keeping the original stride.
-///
-/// Window-walk state per lane: `fill` cycles and `acc` joules sit in the
-/// current partial window; `peak` tracks the max closed-window energy.
-/// Each slot contributes a head (closing the current window if it crosses),
-/// m full windows of r*W each, and a tail that reopens the partial window.
-/// Every step is a two-way select on one comparison, so the vector variants
-/// express the identical tree with cmp+blend.
-void search_score_scalar(const double* rates, const double* cycles,
-                         std::size_t lanes, std::size_t stride,
-                         std::size_t slots, double window, double* energy_j,
-                         double* total_cycles, double* peak_window_j) {
+// Window-walk state per lane: `fill` cycles and `acc` joules sit in the
+// current partial window; `peak` tracks the max closed-window energy.
+// Each slot contributes a head (closing the current window if it crosses),
+// m full windows of r*W each, and a tail that reopens the partial window.
+void search_score_batch(const double* rates, const double* cycles,
+                        std::size_t lanes, std::size_t slots,
+                        double window_cycles, double* energy_j,
+                        double* total_cycles, double* peak_window_j) {
+  const double window = window_cycles;
   for (std::size_t l = 0; l < lanes; ++l) {
     double energy = 0.0;
     double cyc = 0.0;
@@ -263,8 +41,8 @@ void search_score_scalar(const double* rates, const double* cycles,
     double acc = 0.0;
     double peak = 0.0;
     for (std::size_t s = 0; s < slots; ++s) {
-      const double r = rates[s * stride + l];
-      const double c = cycles[s * stride + l];
+      const double r = rates[s * lanes + l];
+      const double c = cycles[s * lanes + l];
       energy += r * c;
       cyc += c;
       const double avail = window - fill;
@@ -290,377 +68,17 @@ void search_score_scalar(const double* rates, const double* cycles,
   }
 }
 
-#ifdef SRAMLP_SIMD_X86
-
-// Lane-exact: mul/sub/div/floor/max/cmp+blend only, each the correctly
-// rounded IEEE-754 image of the scalar expression; no FMA can form from
-// explicit intrinsics.
-__attribute__((target("avx2"))) void search_score_avx2(
-    const double* rates, const double* cycles, std::size_t lanes,
-    std::size_t slots, double window, double* energy_j, double* total_cycles,
-    double* peak_window_j) {
-  const __m256d w = _mm256_set1_pd(window);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t l = 0;
-  for (; l + 4 <= lanes; l += 4) {
-    __m256d energy = zero;
-    __m256d cyc = zero;
-    __m256d fill = zero;
-    __m256d acc = zero;
-    __m256d peak = zero;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const __m256d r = _mm256_loadu_pd(rates + s * lanes + l);
-      const __m256d c = _mm256_loadu_pd(cycles + s * lanes + l);
-      energy = _mm256_add_pd(energy, _mm256_mul_pd(r, c));
-      cyc = _mm256_add_pd(cyc, c);
-      const __m256d avail = _mm256_sub_pd(w, fill);
-      const __m256d crosses = _mm256_cmp_pd(c, avail, _CMP_GE_OQ);
-      const __m256d head = _mm256_blendv_pd(c, avail, crosses);
-      const __m256d acc_head = _mm256_add_pd(acc, _mm256_mul_pd(r, head));
-      const __m256d rem =
-          _mm256_blendv_pd(zero, _mm256_sub_pd(c, avail), crosses);
-      const __m256d m = _mm256_floor_pd(_mm256_div_pd(rem, w));
-      const __m256d closed = _mm256_blendv_pd(zero, acc_head, crosses);
-      peak = _mm256_max_pd(peak, closed);
-      const __m256d mid = _mm256_blendv_pd(
-          zero, _mm256_mul_pd(r, w), _mm256_cmp_pd(m, one, _CMP_GE_OQ));
-      peak = _mm256_max_pd(peak, mid);
-      const __m256d tail = _mm256_sub_pd(rem, _mm256_mul_pd(m, w));
-      acc = _mm256_blendv_pd(acc_head, _mm256_mul_pd(r, tail), crosses);
-      fill = _mm256_blendv_pd(_mm256_add_pd(fill, c), tail, crosses);
-    }
-    peak = _mm256_max_pd(peak, acc);
-    _mm256_storeu_pd(energy_j + l, energy);
-    _mm256_storeu_pd(total_cycles + l, cyc);
-    _mm256_storeu_pd(peak_window_j + l, peak);
-  }
-  search_score_scalar(rates + l, cycles + l, lanes - l, lanes, slots, window,
-                      energy_j + l, total_cycles + l, peak_window_j + l);
-}
-
-__attribute__((target("avx512f"))) void search_score_avx512(
-    const double* rates, const double* cycles, std::size_t lanes,
-    std::size_t slots, double window, double* energy_j, double* total_cycles,
-    double* peak_window_j) {
-  const __m512d w = _mm512_set1_pd(window);
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t l = 0;
-  for (; l + 8 <= lanes; l += 8) {
-    __m512d energy = zero;
-    __m512d cyc = zero;
-    __m512d fill = zero;
-    __m512d acc = zero;
-    __m512d peak = zero;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const __m512d r = _mm512_loadu_pd(rates + s * lanes + l);
-      const __m512d c = _mm512_loadu_pd(cycles + s * lanes + l);
-      energy = _mm512_add_pd(energy, _mm512_mul_pd(r, c));
-      cyc = _mm512_add_pd(cyc, c);
-      const __m512d avail = _mm512_sub_pd(w, fill);
-      const __mmask8 crosses = _mm512_cmp_pd_mask(c, avail, _CMP_GE_OQ);
-      const __m512d head = _mm512_mask_blend_pd(crosses, c, avail);
-      const __m512d acc_head = _mm512_add_pd(acc, _mm512_mul_pd(r, head));
-      const __m512d rem =
-          _mm512_mask_blend_pd(crosses, zero, _mm512_sub_pd(c, avail));
-      const __m512d m = _mm512_roundscale_pd(
-          _mm512_div_pd(rem, w), _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-      const __m512d closed = _mm512_mask_blend_pd(crosses, zero, acc_head);
-      peak = _mm512_max_pd(peak, closed);
-      const __m512d mid = _mm512_mask_blend_pd(
-          _mm512_cmp_pd_mask(m, one, _CMP_GE_OQ), zero, _mm512_mul_pd(r, w));
-      peak = _mm512_max_pd(peak, mid);
-      const __m512d tail = _mm512_sub_pd(rem, _mm512_mul_pd(m, w));
-      acc = _mm512_mask_blend_pd(crosses, acc_head, _mm512_mul_pd(r, tail));
-      fill = _mm512_mask_blend_pd(crosses, _mm512_add_pd(fill, c), tail);
-    }
-    peak = _mm512_max_pd(peak, acc);
-    _mm512_storeu_pd(energy_j + l, energy);
-    _mm512_storeu_pd(total_cycles + l, cyc);
-    _mm512_storeu_pd(peak_window_j + l, peak);
-  }
-  search_score_scalar(rates + l, cycles + l, lanes - l, lanes, slots, window,
-                      energy_j + l, total_cycles + l, peak_window_j + l);
-}
-
-#endif  // SRAMLP_SIMD_X86
-
-#ifdef SRAMLP_SIMD_NEON
-
-// Lane-exact like the x86 variants; vbslq selects per lane off the vcgeq
-// mask, vrndmq is floor, and explicit intrinsics prevent FMA contraction.
-void search_score_neon(const double* rates, const double* cycles,
-                       std::size_t lanes, std::size_t slots, double window,
-                       double* energy_j, double* total_cycles,
-                       double* peak_window_j) {
-  const float64x2_t w = vdupq_n_f64(window);
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  std::size_t l = 0;
-  for (; l + 2 <= lanes; l += 2) {
-    float64x2_t energy = zero;
-    float64x2_t cyc = zero;
-    float64x2_t fill = zero;
-    float64x2_t acc = zero;
-    float64x2_t peak = zero;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const float64x2_t r = vld1q_f64(rates + s * lanes + l);
-      const float64x2_t c = vld1q_f64(cycles + s * lanes + l);
-      energy = vaddq_f64(energy, vmulq_f64(r, c));
-      cyc = vaddq_f64(cyc, c);
-      const float64x2_t avail = vsubq_f64(w, fill);
-      const uint64x2_t crosses = vcgeq_f64(c, avail);
-      const float64x2_t head = vbslq_f64(crosses, avail, c);
-      const float64x2_t acc_head = vaddq_f64(acc, vmulq_f64(r, head));
-      const float64x2_t rem = vbslq_f64(crosses, vsubq_f64(c, avail), zero);
-      const float64x2_t m = vrndmq_f64(vdivq_f64(rem, w));
-      const float64x2_t closed = vbslq_f64(crosses, acc_head, zero);
-      peak = vmaxq_f64(peak, closed);
-      const float64x2_t mid =
-          vbslq_f64(vcgeq_f64(m, one), vmulq_f64(r, w), zero);
-      peak = vmaxq_f64(peak, mid);
-      const float64x2_t tail = vsubq_f64(rem, vmulq_f64(m, w));
-      acc = vbslq_f64(crosses, vmulq_f64(r, tail), acc_head);
-      fill = vbslq_f64(crosses, tail, vaddq_f64(fill, c));
-    }
-    peak = vmaxq_f64(peak, acc);
-    vst1q_f64(energy_j + l, energy);
-    vst1q_f64(total_cycles + l, cyc);
-    vst1q_f64(peak_window_j + l, peak);
-  }
-  search_score_scalar(rates + l, cycles + l, lanes - l, lanes, slots, window,
-                      energy_j + l, total_cycles + l, peak_window_j + l);
-}
-
-#endif  // SRAMLP_SIMD_NEON
-
-}  // namespace
-
-void search_score_batch(const double* rates, const double* cycles,
-                        std::size_t lanes, std::size_t slots,
-                        double window_cycles, double* energy_j,
-                        double* total_cycles, double* peak_window_j) {
-#if defined(SRAMLP_SIMD_X86)
-  switch (active_level()) {
-    case Level::kAvx512:
-      search_score_avx512(rates, cycles, lanes, slots, window_cycles,
-                          energy_j, total_cycles, peak_window_j);
-      return;
-    case Level::kAvx2:
-      search_score_avx2(rates, cycles, lanes, slots, window_cycles, energy_j,
-                        total_cycles, peak_window_j);
-      return;
-    case Level::kNeon: break;  // no NEON code in an x86 build: scalar
-    case Level::kScalar: break;
-  }
-#elif defined(SRAMLP_SIMD_NEON)
-  if (active_level() != Level::kScalar) {
-    search_score_neon(rates, cycles, lanes, slots, window_cycles, energy_j,
-                      total_cycles, peak_window_j);
-    return;
-  }
-#endif
-  search_score_scalar(rates, cycles, lanes, lanes, slots, window_cycles,
-                      energy_j, total_cycles, peak_window_j);
-}
-
 // --- word kernels ------------------------------------------------------------
 
-namespace {
-
-std::uint64_t popcount_scalar(const std::uint64_t* words, std::size_t n) {
+std::uint64_t popcount_words(const std::uint64_t* words, std::size_t n) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i)
     total += static_cast<std::uint64_t>(std::popcount(words[i]));
   return total;
 }
 
-#ifdef SRAMLP_SIMD_X86
-
-/// In-register nibble-LUT popcount (Mula): per-byte counts via PSHUFB,
-/// horizontally summed with PSADBW.  Exact, like any popcount.
-__attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                         _mm256_shuffle_epi8(lut, hi));
-}
-
-__attribute__((target("avx2"))) std::uint64_t horizontal_sum_epi64(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(sum)) +
-         static_cast<std::uint64_t>(
-             _mm_cvtsi128_si64(_mm_unpackhi_epi64(sum, sum)));
-}
-
-__attribute__((target("avx2"))) std::uint64_t popcount_avx2(
-    const std::uint64_t* words, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(popcount_bytes_avx2(v), _mm256_setzero_si256()));
-  }
-  return horizontal_sum_epi64(acc) + popcount_scalar(words + i, n - i);
-}
-
-__attribute__((target("avx2"))) std::uint64_t xor_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(popcount_bytes_avx2(v), _mm256_setzero_si256()));
-  }
-  std::uint64_t total = horizontal_sum_epi64(acc);
-  for (; i < n; ++i)
-    total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
-  return total;
-}
-
-__attribute__((target("avx2"))) bool all_words_equal_avx2(
-    const std::uint64_t* words, std::size_t n, std::uint64_t pattern) {
-  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(pattern));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi64(v, p)) != -1) return false;
-  }
-  for (; i < n; ++i)
-    if (words[i] != pattern) return false;
-  return true;
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t
-popcount_avx512(const std::uint64_t* words, std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(words + i));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-  }
-  return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc)) +
-         popcount_scalar(words + i, n - i);
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t
-xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v = _mm512_xor_si512(
-        _mm512_loadu_si512(reinterpret_cast<const void*>(a + i)),
-        _mm512_loadu_si512(reinterpret_cast<const void*>(b + i)));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-  }
-  std::uint64_t total = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < n; ++i)
-    total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
-  return total;
-}
-
-__attribute__((target("avx512f"))) bool all_words_equal_avx512(
-    const std::uint64_t* words, std::size_t n, std::uint64_t pattern) {
-  const __m512i p = _mm512_set1_epi64(static_cast<long long>(pattern));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(words + i));
-    if (_mm512_cmpneq_epi64_mask(v, p) != 0) return false;
-  }
-  for (; i < n; ++i)
-    if (words[i] != pattern) return false;
-  return true;
-}
-
-#endif  // SRAMLP_SIMD_X86
-
-#ifdef SRAMLP_SIMD_NEON
-
-/// CNT counts bits per byte; ADDLV sums the 16 byte-counts (max 128, no
-/// overflow) into one scalar.  Exact, like any popcount.
-std::uint64_t popcount_neon(const std::uint64_t* words, std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t v = vreinterpretq_u8_u64(vld1q_u64(words + i));
-    total += vaddlvq_u8(vcntq_u8(v));
-  }
-  return total + popcount_scalar(words + i, n - i);
-}
-
-std::uint64_t xor_popcount_neon(const std::uint64_t* a,
-                                const std::uint64_t* b, std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t v = veorq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
-    total += vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(v)));
-  }
-  for (; i < n; ++i)
-    total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
-  return total;
-}
-
-bool all_words_equal_neon(const std::uint64_t* words, std::size_t n,
-                          std::uint64_t pattern) {
-  const uint64x2_t p = vdupq_n_u64(pattern);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t eq = vceqq_u64(vld1q_u64(words + i), p);
-    // Equal lanes are all-ones; a single zero 32-bit chunk means mismatch.
-    if (vminvq_u32(vreinterpretq_u32_u64(eq)) != 0xffffffffu) return false;
-  }
-  for (; i < n; ++i)
-    if (words[i] != pattern) return false;
-  return true;
-}
-
-#endif  // SRAMLP_SIMD_NEON
-
-}  // namespace
-
-std::uint64_t popcount_words(const std::uint64_t* words, std::size_t n) {
-#if defined(SRAMLP_SIMD_X86)
-  switch (active_level()) {
-    case Level::kAvx512: return popcount_avx512(words, n);
-    case Level::kAvx2: return popcount_avx2(words, n);
-    case Level::kNeon: break;  // no NEON code in an x86 build: scalar
-    case Level::kScalar: break;
-  }
-#elif defined(SRAMLP_SIMD_NEON)
-  if (active_level() != Level::kScalar) return popcount_neon(words, n);
-#endif
-  return popcount_scalar(words, n);
-}
-
 std::uint64_t xor_popcount_words(const std::uint64_t* a,
                                  const std::uint64_t* b, std::size_t n) {
-#if defined(SRAMLP_SIMD_X86)
-  switch (active_level()) {
-    case Level::kAvx512: return xor_popcount_avx512(a, b, n);
-    case Level::kAvx2: return xor_popcount_avx2(a, b, n);
-    case Level::kNeon: break;  // no NEON code in an x86 build: scalar
-    case Level::kScalar: break;
-  }
-#elif defined(SRAMLP_SIMD_NEON)
-  if (active_level() != Level::kScalar) return xor_popcount_neon(a, b, n);
-#endif
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i)
     total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
@@ -669,17 +87,6 @@ std::uint64_t xor_popcount_words(const std::uint64_t* a,
 
 bool all_words_equal(const std::uint64_t* words, std::size_t n,
                      std::uint64_t pattern) {
-#if defined(SRAMLP_SIMD_X86)
-  switch (active_level()) {
-    case Level::kAvx512: return all_words_equal_avx512(words, n, pattern);
-    case Level::kAvx2: return all_words_equal_avx2(words, n, pattern);
-    case Level::kNeon: break;  // no NEON code in an x86 build: scalar
-    case Level::kScalar: break;
-  }
-#elif defined(SRAMLP_SIMD_NEON)
-  if (active_level() != Level::kScalar)
-    return all_words_equal_neon(words, n, pattern);
-#endif
   for (std::size_t i = 0; i < n; ++i)
     if (words[i] != pattern) return false;
   return true;

@@ -1,29 +1,17 @@
-// Runtime-dispatched SIMD kernels for the bitsliced engine's hot loops.
+// Batch kernels for the bitsliced engine and the schedule search.
 //
-// The dispatch seam keeps three implementations of every kernel alive:
+// One plain scalar implementation per kernel.  The floating-point kernels
+// evaluate their expression trees exactly as written, one element at a
+// time: the build pins -ffp-contract=off and never enables fast-math, so
+// whatever the compiler makes of the loops (including auto-vectorized
+// code) keeps each output bit-identical to the per-element IEEE-754
+// evaluation — the engines' parity contract (test_bitsliced_parity.cpp)
+// rides on it.
 //
-//   * scalar   — always compiled, the executable specification.  Every
-//                vector variant must produce BIT-IDENTICAL output: the
-//                engines' parity contract (test_bitsliced_parity.cpp) rides
-//                on it, so the floating-point kernels only use lane-wise
-//                IEEE-754 operations (vmulpd/vsubpd/vdivpd on x86,
-//                vmulq/vsubq/vdivq on ARM) that match the scalar expression
-//                tree exactly — no FMA contraction, no reassociation, no
-//                approximate reciprocals;
-//   * NEON     — 2-lane doubles / 128-bit integer words (aarch64 baseline
-//                ASIMD, so no runtime probing is needed on ARM builds);
-//   * AVX2     — 4-lane doubles / 256-bit integer words;
-//   * AVX-512  — 8-lane doubles, VPOPCNTDQ word popcounts.
-//
-// The active level is resolved once per process from (a) the compile-time
-// gate (-DSRAMLP_DISABLE_SIMD, unsupported targets), (b) feature probing
-// (CPUID on x86; aarch64 implies NEON) and (c) the SRAMLP_SIMD environment
-// variable ("scalar"/"neon"/"avx2"/"avx512", capped at what the CPU
-// supports).  Tests additionally force levels through
-// set_level_for_testing() to pin scalar-vs-vector bit-identity.  A level
-// the build carries no code for (kNeon on x86, kAvx2+ on ARM) dispatches
-// to scalar — forcing it is a harmless no-op, the same collapse the
-// clamping contract applies on weaker hardware.
+// There are no hand-vectorized variants: the cohort table is filled once
+// per array and the whole-row path compares a few words per row, so these
+// kernels sit off the hot loops, and AVX2/AVX-512 variants with runtime
+// dispatch moved no end-to-end perfbench figure against this code.
 #pragma once
 
 #include <cstddef>
@@ -31,22 +19,14 @@
 
 namespace sramlp::sram::simd {
 
-/// Dispatch level, ordered by capability.
-enum class Level { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
+/// The kernels' implementation level.  There is only one; the enum and the
+/// queries below remain because perfbench's host tag still prints
+/// `simd_active` / `simd_detected` through them.
+enum class Level { kScalar };
 
-/// The level kernels dispatch on: the detected level unless a test forced
-/// a lower one.  Cheap (one atomic load past first use).
-Level active_level();
-
-/// The capability detected for this process (compile gate + CPUID + env).
-Level detected_level();
-
-const char* level_name(Level level);
-
-/// Force dispatch to min(level, detected_level()) — parity tests pin the
-/// scalar and vector kernels against each other.  Clears on reset.
-void set_level_for_testing(Level level);
-void reset_level_for_testing();
+constexpr Level active_level() { return Level::kScalar; }
+constexpr Level detected_level() { return Level::kScalar; }
+constexpr const char* level_name(Level) { return "scalar"; }
 
 /// Loop-invariant constants of the cohort closed form (see
 /// SramArray::eval_cohort): each is the exact product/quotient the scalar
@@ -65,8 +45,8 @@ struct CohortEvalConstants {
 ///   dv        = vdd - v_low
 ///   equiv     = tau_over_duty * dv / vdd
 ///   recharge  = c_vdd * dv
-/// into the five output arrays.  Lane-exact: every output element is
-/// bit-identical to evaluating the scalar expressions one factor at a time.
+/// into the five output arrays — the exact expression tree of
+/// SramArray::eval_cohort, one factor at a time.
 void cohort_eval_batch(const double* factors, std::size_t n,
                        const CohortEvalConstants& k, double* v_low,
                        double* stress_j, double* dv, double* equiv,
@@ -75,8 +55,8 @@ void cohort_eval_batch(const double* factors, std::size_t n,
 /// Batched candidate-schedule scoring for the search subsystem
 /// (src/search/): each LANE is one candidate schedule of @p slots segments;
 /// @p rates / @p cycles are slot-major SoA, the entry for slot s of lane l
-/// at index `s * lanes + l` (so a vector load at fixed s spans consecutive
-/// candidates).  Per lane the kernel walks the slots once, accumulating
+/// at index `s * lanes + l`.  Per lane the kernel walks the slots once,
+/// accumulating
 ///
 ///   energy_j[l]      = sum_s rates[s][l] * cycles[s][l]
 ///   total_cycles[l]  = sum_s cycles[s][l]
@@ -85,12 +65,11 @@ void cohort_eval_batch(const double* factors, std::size_t n,
 ///                      — exactly power::PowerTrace's fixed-window peak
 ///                      semantics (a trailing partial window counts).
 ///
-/// The window walk is branchless (compare-select, floor, max only) so the
-/// vector variants are bit-identical to the scalar spec; all inputs are
-/// integer-valued doubles < 2^53 (cycle counts) or non-negative rates, for
-/// which floor(rem / window) is exact-enough: the correctly-rounded
-/// quotient of integers below 2^53 can never round across the next
-/// integer, so the per-window decomposition matches exact arithmetic.
+/// All inputs are integer-valued doubles < 2^53 (cycle counts) or
+/// non-negative rates, for which floor(rem / window) is exact-enough: the
+/// correctly-rounded quotient of integers below 2^53 can never round
+/// across the next integer, so the per-window decomposition matches exact
+/// arithmetic.
 void search_score_batch(const double* rates, const double* cycles,
                         std::size_t lanes, std::size_t slots,
                         double window_cycles, double* energy_j,

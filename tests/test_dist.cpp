@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -257,6 +258,11 @@ std::string service_document(const JobSpec& job, std::size_t points_per_shard,
     threads.emplace_back([address = service.address()] {
       dist::ServiceWorker().run(address);
     });
+  // Every worker connects before the job arrives: a worker thread first
+  // scheduled after the others finished the job and the service stopped
+  // would retry the closed endpoint until its connect timeout and throw.
+  while (service.stats().workers_connected < static_cast<unsigned>(workers))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const std::string document =
       dist::submit_job(service.address(), job, 10000).document;
   service.request_stop();

@@ -1,6 +1,6 @@
 // The peak-constrained schedule search (src/search/): the memoized batch
 // evaluator against the traced analytic engine, the validity-preserving
-// move set, SIMD bit-identity of the scoring kernel, end-to-end
+// move set, lane independence of the scoring kernel, end-to-end
 // determinism (threads / shards / service), cycle-accurate winner
 // verification, and the acceptance anchor — a budget the base March C-
 // violates, met by the search at no more test time than naive uniform
@@ -34,7 +34,6 @@ using search::MoveLimits;
 using search::ScheduleEvaluator;
 using search::SearchSpec;
 using search::StateCond;
-using sram::simd::Level;
 
 core::SessionConfig small_config() {
   core::SessionConfig config;
@@ -66,17 +65,6 @@ std::vector<StateCond> conds_of(const march::MarchTest& test) {
     conds.push_back(search::element_state(element));
   return conds;
 }
-
-std::vector<Level> available_levels() {
-  std::vector<Level> out{Level::kScalar};
-  for (const Level l : {Level::kNeon, Level::kAvx2, Level::kAvx512})
-    if (sram::simd::detected_level() >= l) out.push_back(l);
-  return out;
-}
-
-struct LevelGuard {
-  ~LevelGuard() { sram::simd::reset_level_for_testing(); }
-};
 
 /// The canonical merged document of a single-process run — every
 /// distributed path's byte-diff target.
@@ -240,10 +228,12 @@ TEST(ScheduleMoves, RandomWalkPreservesValidityAndLimits) {
   EXPECT_GT(applied, 500u);  // the move set actually moves
 }
 
-// --- SIMD kernel bit-identity ------------------------------------------------
+// --- scoring kernel -----------------------------------------------------------
 
-TEST(SearchScoreBatch, BitIdenticalAcrossLevelsAndBatchSizes) {
-  LevelGuard guard;
+// Lane l of an N-lane batch scores the same candidate as a 1-lane call on
+// that candidate alone: the slot-major SoA stride picks exactly lane l's
+// entries, whatever N is.
+TEST(SearchScoreBatch, EveryLaneMatchesItsOneLaneCall) {
   util::Rng rng(99);
   for (const std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u}) {
     const std::size_t slots = 12;
@@ -256,25 +246,23 @@ TEST(SearchScoreBatch, BitIdenticalAcrossLevelsAndBatchSizes) {
                                           ? 0
                                           : 64 * (1 + rng.next_below(40)));
     }
-    sram::simd::set_level_for_testing(Level::kScalar);
-    std::vector<double> energy_ref(lanes), cycles_ref(lanes), peak_ref(lanes);
+    std::vector<double> energy(lanes), total(lanes), peak(lanes);
     sram::simd::search_score_batch(rates.data(), cycles.data(), lanes, slots,
-                                   512.0, energy_ref.data(),
-                                   cycles_ref.data(), peak_ref.data());
-    for (const Level level : available_levels()) {
-      sram::simd::set_level_for_testing(level);
-      std::vector<double> energy(lanes), total(lanes), peak(lanes);
-      sram::simd::search_score_batch(rates.data(), cycles.data(), lanes,
-                                     slots, 512.0, energy.data(),
-                                     total.data(), peak.data());
-      for (std::size_t l = 0; l < lanes; ++l) {
-        EXPECT_EQ(energy[l], energy_ref[l])
-            << sram::simd::level_name(level) << " lane " << l;
-        EXPECT_EQ(total[l], cycles_ref[l])
-            << sram::simd::level_name(level) << " lane " << l;
-        EXPECT_EQ(peak[l], peak_ref[l])
-            << sram::simd::level_name(level) << " lane " << l;
+                                   512.0, energy.data(), total.data(),
+                                   peak.data());
+    for (std::size_t l = 0; l < lanes; ++l) {
+      std::vector<double> lane_rates(slots), lane_cycles(slots);
+      for (std::size_t s = 0; s < slots; ++s) {
+        lane_rates[s] = rates[s * lanes + l];
+        lane_cycles[s] = cycles[s * lanes + l];
       }
+      double energy_one = 0.0, total_one = 0.0, peak_one = 0.0;
+      sram::simd::search_score_batch(lane_rates.data(), lane_cycles.data(),
+                                     1, slots, 512.0, &energy_one,
+                                     &total_one, &peak_one);
+      EXPECT_EQ(energy[l], energy_one) << lanes << " lanes, lane " << l;
+      EXPECT_EQ(total[l], total_one) << lanes << " lanes, lane " << l;
+      EXPECT_EQ(peak[l], peak_one) << lanes << " lanes, lane " << l;
     }
   }
 }
@@ -287,8 +275,6 @@ TEST(SearchScoreBatch, PeakWindowSemanticsMatchPowerTrace) {
   const double rates[] = {2.0, 4.0};
   const double cycles[] = {100.0, 100.0};
   double energy = 0.0, total = 0.0, peak = 0.0;
-  sram::simd::set_level_for_testing(Level::kScalar);
-  LevelGuard guard;
   sram::simd::search_score_batch(rates, cycles, 1, 2, 64.0, &energy, &total,
                                  &peak);
   EXPECT_EQ(total, 200.0);

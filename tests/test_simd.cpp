@@ -1,49 +1,20 @@
-// The SIMD dispatch seam (sram/simd.h): every vector kernel is a drop-in
-// BIT-IDENTICAL replacement for its always-compiled scalar specification.
-// The suite pins
-//  * the kernels directly — cohort_eval_batch and the word kernels produce
-//    the same bits at every available dispatch level, across batch sizes
-//    that exercise full vectors, remainders and empty inputs;
-//  * whole sessions — forcing the scalar level must not move a bit of a
-//    run's meter totals, stats or trace relative to the vector levels, on
-//    awkward geometries and word-oriented arrays;
-//  * the dispatch contract itself — set_level_for_testing clamps to the
-//    detected capability and reset restores it.
-// On hardware without a level's code (no AVX2/AVX-512, or kNeon forced on
-// an x86 build) the vector cases collapse to scalar re-runs and the suite
-// still passes (that IS the clamping contract) — so every level below the
-// detected one is exercised unconditionally, including kNeon, which runs
-// its real kernels on aarch64 builds and the scalar fallback elsewhere.
+// The batch kernels of sram/simd.h against naive per-element loops: the
+// cohort closed form written out one factor at a time, std::popcount per
+// word, and a word-by-word compare.  The sizes cover empty input, single
+// elements and batches well past any vector width the compiler might
+// choose for the loops.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/session.h"
-#include "march/algorithms.h"
-#include "power/energy_source.h"
 #include "sram/simd.h"
 
 namespace {
 
 using namespace sramlp;
-using sram::simd::Level;
-
-/// Every level up to the detected one (always at least scalar).  Levels
-/// whose code the build does not carry (kNeon on x86) dispatch to scalar,
-/// so each entry is safe to force — and on an aarch64 build kNeon pins the
-/// real 2-lane kernels against the scalar specification.
-std::vector<Level> available_levels() {
-  std::vector<Level> out{Level::kScalar};
-  for (const Level l : {Level::kNeon, Level::kAvx2, Level::kAvx512})
-    if (sram::simd::detected_level() >= l) out.push_back(l);
-  return out;
-}
-
-struct LevelGuard {
-  ~LevelGuard() { sram::simd::reset_level_for_testing(); }
-};
 
 /// splitmix64: deterministic word / factor streams for the kernel tests.
 std::uint64_t mix(std::uint64_t& state) {
@@ -54,27 +25,10 @@ std::uint64_t mix(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-TEST(SimdDispatch, ForcedLevelClampsToDetected) {
-  LevelGuard guard;
-  sram::simd::set_level_for_testing(Level::kAvx512);
-  EXPECT_LE(static_cast<int>(sram::simd::active_level()),
-            static_cast<int>(sram::simd::detected_level()));
-  sram::simd::set_level_for_testing(Level::kScalar);
-  EXPECT_EQ(sram::simd::active_level(), Level::kScalar);
-  sram::simd::reset_level_for_testing();
-  EXPECT_EQ(sram::simd::active_level(), sram::simd::detected_level());
-  for (const Level l :
-       {Level::kScalar, Level::kNeon, Level::kAvx2, Level::kAvx512})
-    EXPECT_STRNE(sram::simd::level_name(l), "");
-}
-
-// Sizes chosen to hit empty input, single lanes, partial vectors and
-// several full vectors plus remainder at every vector width (2, 4 and 8).
 constexpr std::size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31,
                                   64, 100};
 
-TEST(SimdKernels, CohortEvalBatchBitIdenticalAcrossLevels) {
-  LevelGuard guard;
+TEST(SimdKernels, CohortEvalBatchMatchesClosedForm) {
   const sram::simd::CohortEvalConstants k{
       /*vdd=*/1.6, /*half_c=*/0.5 * 250e-15, /*c_vdd=*/250e-15 * 1.6,
       /*tau_over_duty=*/1.0e4 / 0.5};
@@ -83,28 +37,24 @@ TEST(SimdKernels, CohortEvalBatchBitIdenticalAcrossLevels) {
     std::vector<double> factors(n);
     for (double& f : factors)
       f = static_cast<double>(mix(state) >> 11) * 0x1.0p-53;  // [0, 1)
-    std::vector<std::vector<std::vector<double>>> out;
-    for (const Level level : available_levels()) {
-      out.emplace_back(5, std::vector<double>(n, -1.0));
-      sram::simd::set_level_for_testing(level);
-      sram::simd::cohort_eval_batch(factors.data(), n, k,
-                                    out.back()[0].data(),
-                                    out.back()[1].data(),
-                                    out.back()[2].data(),
-                                    out.back()[3].data(),
-                                    out.back()[4].data());
-    }
-    for (std::size_t pass = 1; pass < out.size(); ++pass)
+    std::vector<std::vector<double>> out(5, std::vector<double>(n, -1.0));
+    sram::simd::cohort_eval_batch(factors.data(), n, k, out[0].data(),
+                                  out[1].data(), out[2].data(),
+                                  out[3].data(), out[4].data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v_low = k.vdd * factors[i];
+      const double dv = k.vdd - v_low;
+      const double expect[5] = {
+          v_low, k.half_c * (k.vdd * k.vdd - v_low * v_low), dv,
+          k.tau_over_duty * dv / k.vdd, k.c_vdd * dv};
       for (std::size_t arr = 0; arr < 5; ++arr)
-        for (std::size_t i = 0; i < n; ++i)
-          EXPECT_EQ(out[0][arr][i], out[pass][arr][i])
-              << "n=" << n << " array=" << arr << " i=" << i << " level "
-              << sram::simd::level_name(available_levels()[pass]);
+        EXPECT_EQ(out[arr][i], expect[arr])
+            << "n=" << n << " array=" << arr << " i=" << i;
+    }
   }
 }
 
-TEST(SimdKernels, WordKernelsBitIdenticalAcrossLevels) {
-  LevelGuard guard;
+TEST(SimdKernels, WordKernelsMatchPerWordLoops) {
   for (const std::size_t n : kSizes) {
     std::uint64_t state = 7 + n;
     std::vector<std::uint64_t> a(n), b(n);
@@ -112,77 +62,27 @@ TEST(SimdKernels, WordKernelsBitIdenticalAcrossLevels) {
       a[i] = mix(state);
       b[i] = mix(state);
     }
-    const std::uint64_t pattern = 0xaaaaaaaaaaaaaaaaull;
-    std::vector<std::uint64_t> uniform(n, pattern);
-    const std::vector<Level> levels = available_levels();
-    std::vector<std::uint64_t> pop(levels.size()), xpop(levels.size());
-    std::vector<int> eq_uniform(levels.size()), eq_dirty(levels.size());
-    for (std::size_t pass = 0; pass < levels.size(); ++pass) {
-      sram::simd::set_level_for_testing(levels[pass]);
-      pop[pass] = sram::simd::popcount_words(a.data(), n);
-      xpop[pass] = sram::simd::xor_popcount_words(a.data(), b.data(), n);
-      eq_uniform[pass] =
-          sram::simd::all_words_equal(uniform.data(), n, pattern) ? 1 : 0;
-      // Flip one bit somewhere past the first full vector when possible.
-      std::vector<std::uint64_t> dirty = uniform;
-      if (n != 0) dirty[n - 1] ^= 1ull << 63;
-      eq_dirty[pass] =
-          sram::simd::all_words_equal(dirty.data(), n, pattern) ? 1 : 0;
+    std::uint64_t pop = 0, xpop = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      pop += static_cast<std::uint64_t>(std::popcount(a[i]));
+      xpop += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     }
-    for (std::size_t pass = 1; pass < levels.size(); ++pass) {
-      const std::string where =
-          "n=" + std::to_string(n) + " level " +
-          sram::simd::level_name(levels[pass]);
-      EXPECT_EQ(pop[0], pop[pass]) << where;
-      EXPECT_EQ(xpop[0], xpop[pass]) << where;
-      EXPECT_EQ(eq_uniform[0], eq_uniform[pass]) << where;
-      EXPECT_EQ(eq_dirty[0], eq_dirty[pass]) << where;
-    }
-    EXPECT_EQ(eq_uniform[0], 1) << "n=" << n;
-    EXPECT_EQ(eq_dirty[0], n == 0 ? 1 : 0) << "n=" << n;
-  }
-}
+    const std::string where = "n=" + std::to_string(n);
+    EXPECT_EQ(sram::simd::popcount_words(a.data(), n), pop) << where;
+    EXPECT_EQ(sram::simd::xor_popcount_words(a.data(), b.data(), n), xpop)
+        << where;
 
-// Whole-session invariance: dispatch level must be invisible in every
-// measured number.  Covers the traced bulk path too (the window/element
-// folding rides on the same kernels).
-TEST(SimdSessions, RunsBitIdenticalAcrossLevels) {
-  LevelGuard guard;
-  struct Geo {
-    std::size_t rows, cols, w;
-  };
-  const auto test = march::algorithms::march_c_minus();
-  for (const Geo g : {Geo{33, 17, 1}, Geo{48, 96, 4}}) {
-    for (const sram::Mode mode :
-         {sram::Mode::kFunctional, sram::Mode::kLowPowerTest}) {
-      std::vector<core::SessionResult> runs;
-      for (const Level level : available_levels()) {
-        sram::simd::set_level_for_testing(level);
-        core::SessionConfig cfg;
-        cfg.geometry = {g.rows, g.cols, g.w};
-        cfg.mode = mode;
-        cfg.trace = power::TraceConfig{.window_cycles = 32,
-                                       .keep_windows = true};
-        runs.push_back(core::TestSession(cfg).run(test));
-      }
-      for (std::size_t r = 1; r < runs.size(); ++r) {
-        const std::string where =
-            std::to_string(g.rows) + "x" + std::to_string(g.cols) +
-            " level " + sram::simd::level_name(available_levels()[r]);
-        EXPECT_EQ(runs[0].cycles, runs[r].cycles) << where;
-        EXPECT_EQ(runs[0].supply_energy_j, runs[r].supply_energy_j) << where;
-        for (std::size_t i = 0; i < power::kEnergySourceCount; ++i) {
-          const auto s = static_cast<power::EnergySource>(i);
-          EXPECT_EQ(runs[0].meter.total(s), runs[r].meter.total(s))
-              << where << " " << power::to_string(s);
-        }
-        ASSERT_TRUE(runs[0].trace.has_value() && runs[r].trace.has_value());
-        EXPECT_EQ(runs[0].trace->peak_window_energy_j,
-                  runs[r].trace->peak_window_energy_j)
-            << where;
-        EXPECT_EQ(runs[0].trace->window_supply_j, runs[r].trace->window_supply_j)
-            << where;
-      }
+    const std::uint64_t pattern = 0xaaaaaaaaaaaaaaaaull;
+    std::vector<std::uint64_t> words(n, pattern);
+    EXPECT_TRUE(sram::simd::all_words_equal(words.data(), n, pattern))
+        << where;
+    // One flipped bit anywhere — first word, interior, last word — fails
+    // the compare.
+    for (std::size_t i = 0; i < n; ++i) {
+      words[i] ^= 1ull << (i % 64);
+      EXPECT_FALSE(sram::simd::all_words_equal(words.data(), n, pattern))
+          << where << " flipped word " << i;
+      words[i] = pattern;
     }
   }
 }

@@ -246,10 +246,14 @@ TEST(ServiceStress, ShutdownRacesLiveSubmissionsAndWorkers) {
   std::string expected;  // first completed document; later ones must match
   std::mutex expected_mutex;
 
+  // A submitter can start one more submission after request_stop(); its
+  // connect then meets a closed endpoint, which connect_socket retries as
+  // "not up yet" until the timeout, so keep that timeout short.
   auto submitter = [&] {
     while (!stop_submitting.load()) {
       try {
-        dist::SubmitResult result = dist::submit_job(address, job);
+        dist::SubmitResult result =
+            dist::submit_job(address, job, /*connect_timeout_ms=*/200);
         {
           std::lock_guard<std::mutex> lock(expected_mutex);
           if (expected.empty()) expected = result.document;

@@ -26,13 +26,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "dist/job.h"
 #include "dist/service.h"
 #include "io/serialize.h"
@@ -47,6 +45,10 @@
 namespace {
 
 using namespace sramlp;
+using cli::apply_logging_flags;
+using cli::Args;
+using cli::read_file;
+using cli::write_file;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
@@ -83,117 +85,6 @@ using namespace sramlp;
       "  [--log-max-bytes N]\n",
       argv0);
   std::exit(2);
-}
-
-/// Tiny flag scanner (same contract as sramlp_dist's): --name value pairs
-/// plus boolean switches, consumed as they are read.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  bool flag(const std::string& name) {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == name) {
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<std::string> value(const std::string& name) {
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        std::string v = args_[i + 1];
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
-                    args_.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// A plain decimal count no larger than @p max (overflow is named, not
-  /// wrapped or reported as a bare "stoull").
-  std::size_t number(
-      const std::string& name, std::size_t fallback,
-      std::size_t max = std::numeric_limits<std::size_t>::max()) {
-    auto v = value(name);
-    if (!v) return fallback;
-    std::size_t parsed = 0;
-    bool fits = !v->empty() &&
-                v->find_first_not_of("0123456789") == std::string::npos;
-    for (std::size_t i = 0; fits && i < v->size(); ++i) {
-      const auto digit = static_cast<std::size_t>((*v)[i] - '0');
-      fits = parsed <= (max - digit) / 10;
-      parsed = parsed * 10 + digit;
-    }
-    if (!fits)
-      throw Error("option " + name + " needs a non-negative integer up to " +
-                  std::to_string(max) + ", got '" + *v + "'");
-    return parsed;
-  }
-
-  double real(const std::string& name, double fallback) {
-    auto v = value(name);
-    if (!v) return fallback;
-    try {
-      std::size_t used = 0;
-      const double parsed = std::stod(*v, &used);
-      if (used != v->size()) throw std::invalid_argument(*v);
-      return parsed;
-    } catch (const std::exception&) {
-      throw Error("option " + name + " needs a number, got '" + *v + "'");
-    }
-  }
-
-  void reject_leftovers() const {
-    if (!args_.empty()) throw Error("unrecognized argument '" + args_[0] + "'");
-  }
-
- private:
-  std::vector<std::string> args_;
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) throw Error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.good()) throw Error("cannot write " + path);
-  out << content;
-  if (!out.good()) throw Error("short write on " + path);
-}
-
-void apply_logging_flags(Args& args) {
-  const std::optional<std::string> level_text = args.value("--log-level");
-  const std::optional<std::string> format_text = args.value("--log-format");
-  const std::optional<std::string> file = args.value("--log-file");
-  const std::size_t max_bytes = args.number("--log-max-bytes", 0);
-  if (max_bytes > 0 && !file)
-    throw Error("--log-max-bytes needs --log-file (stderr never rotates)");
-  if (!level_text && !format_text && !file) return;
-  const obs::LogLevel level = level_text
-                                  ? obs::log_level_from_string(*level_text)
-                                  : obs::Logger::global().level();
-  obs::Logger::Format format = obs::Logger::Format::kHuman;
-  if (format_text) {
-    if (*format_text == "jsonl") {
-      format = obs::Logger::Format::kJsonl;
-    } else if (*format_text != "human") {
-      throw Error("--log-format must be human or jsonl, got '" +
-                  *format_text + "'");
-    }
-  }
-  obs::Logger::global().configure(level, format,
-                                  file ? *file : std::string(), max_bytes);
 }
 
 search::SearchSpec spec_from_args(Args& args) {
@@ -254,8 +145,7 @@ std::vector<search::ScheduleResult> front_of_document(
 int run(Args& args) {
   search::SearchSpec spec = spec_from_args(args);
   const double budget_scale = args.real("--budget-scale", 0.0);
-  const auto threads = static_cast<unsigned>(
-      args.number("--threads", 0, std::numeric_limits<unsigned>::max()));
+  const unsigned threads = args.small_number("--threads", 0);
   const std::optional<std::string> connect = args.value("--connect");
   const std::string submitter = args.value("--submitter").value_or("");
   const std::optional<std::string> out_path = args.value("--out");

@@ -48,13 +48,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "dist/coordinator.h"
 #include "dist/job.h"
 #include "dist/service.h"
@@ -69,6 +67,10 @@
 namespace {
 
 using namespace sramlp;
+using cli::apply_logging_flags;
+using cli::Args;
+using cli::read_file;
+using cli::write_file;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
@@ -80,7 +82,7 @@ using namespace sramlp;
       "  single --job J --out M\n"
       "  serve  [--listen unix:/path|tcp:port] [--workers N] [--threads N]\n"
       "         [--points-per-shard P] [--cache-capacity C] [--spill F]\n"
-      "         [--no-point-cache] [--slow-us U] [--trace-out F]\n"
+      "         [--slow-us U] [--trace-out F]\n"
       "  work   --connect A [--threads N] [--per-fault] [--slow-us U]\n"
       "         [--trace-out F]\n"
       "  submit --connect A --job J [--out M] [--expect-cache-hit]\n"
@@ -96,126 +98,8 @@ using namespace sramlp;
   std::exit(2);
 }
 
-/// Tiny flag scanner: --name value pairs plus boolean switches.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  bool flag(const std::string& name) {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == name) {
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<std::string> value(const std::string& name) {
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        std::string v = args_[i + 1];
-        args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
-                    args_.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::string require(const std::string& name) {
-    auto v = value(name);
-    if (!v) throw Error("missing required option " + name);
-    return *v;
-  }
-
-  /// A plain decimal count no larger than @p max.  std::stoull accepts
-  /// (and wraps) negative input and throws a bare "stoull" on overflow,
-  /// so the digits are checked here and every failure names the option.
-  std::size_t number(
-      const std::string& name, std::size_t fallback,
-      std::size_t max = std::numeric_limits<std::size_t>::max()) {
-    auto v = value(name);
-    if (!v) return fallback;
-    std::size_t parsed = 0;
-    bool fits = !v->empty() &&
-                v->find_first_not_of("0123456789") == std::string::npos;
-    for (std::size_t i = 0; fits && i < v->size(); ++i) {
-      const auto digit = static_cast<std::size_t>((*v)[i] - '0');
-      fits = parsed <= (max - digit) / 10;
-      parsed = parsed * 10 + digit;
-    }
-    if (!fits)
-      throw Error("option " + name + " needs a non-negative integer up to " +
-                  std::to_string(max) + ", got '" + *v + "'");
-    return parsed;
-  }
-
-  /// A count that ends up in an `unsigned` (thread counts).
-  unsigned small_number(const std::string& name, unsigned fallback) {
-    return static_cast<unsigned>(
-        number(name, fallback, std::numeric_limits<unsigned>::max()));
-  }
-
-  void reject_leftovers() const {
-    if (!args_.empty()) throw Error("unrecognized argument '" + args_[0] + "'");
-  }
-
- private:
-  std::vector<std::string> args_;
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) throw Error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.good()) throw Error("cannot write " + path);
-  out << content;
-  if (!out.good()) throw Error("short write on " + path);
-}
-
 dist::JobSpec load_job(const std::string& path) {
   return dist::job_from_json(io::JsonValue::parse(read_file(path)));
-}
-
-/// Observability flags shared by every subcommand.  Consumed before
-/// dispatch so reject_leftovers() never sees them.  A --log-level is also
-/// exported as SRAMLP_LOG, so the workers this command spawns (serve's
-/// and run's) inherit the level.
-void apply_logging_flags(Args& args) {
-  const std::optional<std::string> level_text = args.value("--log-level");
-  const std::optional<std::string> format_text = args.value("--log-format");
-  const std::optional<std::string> file = args.value("--log-file");
-  // --log-max-bytes N: rotate the log file to PATH.1 once it reaches N
-  // bytes (obs::Logger keeps one rotated generation).  Only meaningful
-  // with --log-file; the cap is ignored for the stderr sink.
-  const std::size_t max_bytes = args.number("--log-max-bytes", 0);
-  if (max_bytes > 0 && !file)
-    throw Error("--log-max-bytes needs --log-file (stderr never rotates)");
-  if (!level_text && !format_text && !file) return;
-  const obs::LogLevel level = level_text
-                                  ? obs::log_level_from_string(*level_text)
-                                  : obs::Logger::global().level();
-  obs::Logger::Format format = obs::Logger::Format::kHuman;
-  if (format_text) {
-    if (*format_text == "jsonl") {
-      format = obs::Logger::Format::kJsonl;
-    } else if (*format_text != "human") {
-      throw Error("--log-format must be human or jsonl, got '" +
-                  *format_text + "'");
-    }
-  }
-  obs::Logger::global().configure(level, format,
-                                  file ? *file : std::string(), max_bytes);
-  if (level_text) ::setenv("SRAMLP_LOG", level_text->c_str(), 1);
 }
 
 /// Absolute path of this binary, for spawning `work` subprocesses.
@@ -329,7 +213,6 @@ int cmd_serve(Args& args, const char* argv0) {
   options.cache.capacity =
       args.number("--cache-capacity", options.cache.capacity);
   if (auto spill = args.value("--spill")) options.cache.spill_path = *spill;
-  if (args.flag("--no-point-cache")) options.point_cache = false;
   const std::size_t workers = args.number("--workers", 2);
   const unsigned threads = args.small_number("--threads", 1);
   const std::size_t slow_us = args.number("--slow-us", 0);
